@@ -1303,6 +1303,7 @@ mod tests {
 
     #[test]
     fn counting_insert_and_delete() {
+        let _guard = obs::test_guard();
         // uncle(x,y) ⇐ parent(x,z), brother(z,y): non-recursive.
         let prog = Program::new(vec![Rule::new(
             Literal::pred("uncle", [Term::var("x"), Term::var("y")]),
@@ -1333,6 +1334,7 @@ mod tests {
 
     #[test]
     fn counting_survives_shared_support() {
+        let _guard = obs::test_guard();
         // Two rules derive p(x); removing one support must not remove p.
         let prog = Program::new(vec![
             Rule::new(
@@ -1365,6 +1367,7 @@ mod tests {
 
     #[test]
     fn dred_trap_twice_derived_recursive_fact() {
+        let _guard = obs::test_guard();
         // anc(a,c) holds via a→b→c and via the direct edge a→c. Deleting
         // the direct edge must keep anc(a,c) (re-derivation), deleting the
         // chain too must remove it.
@@ -1397,6 +1400,8 @@ mod tests {
     /// `fedoo_deduction_maintained_deltas_total` tick plus the rederive
     /// count, and every unit that runs does so inside a
     /// `deduction.apply_unit` span tagged with its maintenance mode.
+    /// The sink records every thread, so each sibling here that calls
+    /// `apply` takes the obs guard too and cannot add to these counts.
     #[test]
     fn apply_emits_unit_spans_and_maintenance_counters() {
         let _guard = obs::test_guard();
@@ -1437,6 +1442,7 @@ mod tests {
 
     #[test]
     fn recursive_insert_extends_closure() {
+        let _guard = obs::test_guard();
         let mut base = FactDb::new();
         base.insert_pred("par", vec!["a".into(), "b".into()]);
         let mut mat = MaterializedProgram::new(ancestor_program(), &base).unwrap();
@@ -1460,6 +1466,7 @@ mod tests {
 
     #[test]
     fn negation_delta_propagates_both_ways() {
+        let _guard = obs::test_guard();
         // <x: A−> ⇐ <x: A>, ¬<x: AB>;  <x: AB> ⇐ <x: A>, <x: B>
         let prog = Program::new(vec![
             Rule::new(
@@ -1504,6 +1511,7 @@ mod tests {
 
     #[test]
     fn base_fact_in_derived_relation_survives_support_loss() {
+        let _guard = obs::test_guard();
         // A base fact asserted directly into a derived relation stays live
         // when its rule support disappears, and vice versa.
         let prog = Program::new(vec![Rule::new(
@@ -1530,6 +1538,7 @@ mod tests {
 
     #[test]
     fn update_is_remove_plus_insert() {
+        let _guard = obs::test_guard();
         let prog = Program::new(vec![Rule::new(
             Literal::pred("big", [Term::var("x")]),
             vec![
@@ -1566,6 +1575,7 @@ mod tests {
 
     #[test]
     fn noop_delta_changes_nothing() {
+        let _guard = obs::test_guard();
         let mut base = FactDb::new();
         base.insert_pred("par", vec!["a".into(), "b".into()]);
         let mut mat = MaterializedProgram::new(ancestor_program(), &base).unwrap();

@@ -27,6 +27,13 @@
 //! assert_eq!(session.metrics.counter("fedoo_qp_rows_scanned_total"), 42);
 //! ```
 //!
+//! The sink records events and metrics from *every* thread in the process,
+//! not only the one that installed it. [`test_guard`] serializes only the
+//! tests that also take it, so a test that asserts exact counts or the shape
+//! of the whole trace must either keep to its own thread's events (emit a
+//! marker [`instant!`] after [`install`] and retain the events with its
+//! `tid`) or have every sibling test that emits in its binary take the guard.
+//!
 //! Span names follow the `<crate>.<phase>` taxonomy and metrics the
 //! `fedoo_<crate>_<name>` convention documented in DESIGN.md §10.
 
@@ -111,6 +118,12 @@ pub fn metrics_snapshot() -> Option<MetricsSnapshot> {
 
 /// Serialize tests that install the global sink (it is process-wide state).
 /// Hold the returned guard for the duration of the install/uninstall window.
+///
+/// The guard isolates only the tests that take it: while a sink is installed
+/// it records events from every thread, including tests that emit spans or
+/// counters without the guard. A test asserting exact counts or a whole-trace
+/// shape must filter the trace to its own `tid`, or every sibling test in its
+/// binary that emits must take this guard as well.
 pub fn test_guard() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())

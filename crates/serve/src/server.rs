@@ -801,6 +801,10 @@ mod tests {
     fn request_span_tree_joins_response_by_id() {
         let _guard = obs::test_guard();
         obs::install(obs::TimeSource::monotonic());
+        // The sink records every thread, and sibling tests in this binary
+        // keep serving requests without the guard: mark this thread so the
+        // analysis sees only its own events.
+        obs::instant!("test.thread", "test");
         let server = library_server(ServeConfig::default());
         let g = merged_class(&server);
         let resp = server
@@ -809,8 +813,15 @@ mod tests {
             ))
             .response;
         assert!(resp.contains("\"request_id\":\"q9\""), "{resp}");
-        let session = obs::uninstall().unwrap();
-        let report = obs::report::analyze(&session.trace);
+        let mut trace = obs::uninstall().unwrap().trace;
+        let tid = trace
+            .events
+            .iter()
+            .find(|e| e.name == "test.thread")
+            .expect("thread marker recorded")
+            .tid;
+        trace.events.retain(|e| e.tid == tid);
+        let report = obs::report::analyze(&trace);
         assert_eq!(report.requests.len(), 1, "one serve.request root");
         let r = &report.requests[0];
         assert_eq!(

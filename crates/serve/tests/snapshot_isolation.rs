@@ -181,6 +181,9 @@ proptest! {
 
     #[test]
     fn pinned_readers_never_observe_later_generations(ops in steps()) {
+        // Mutations and saturations here feed the process-global obs
+        // counters; hold the guard so the soak's exact counts stay its own.
+        let _guard = obs::test_guard();
         let server = Server::connect(
             &library_fsm(),
             IntegrationStrategy::Accumulation,
