@@ -243,7 +243,10 @@ struct MRule {
 
 /// A rule program whose fixpoint is kept materialized under base-fact
 /// deltas. See the module docs for the counting / DRed split.
-#[derive(Debug, Clone)]
+///
+/// Deliberately not `Clone`: a serving lineage shares one maintained
+/// state and moves it between snapshots with [`Self::sync_base`].
+#[derive(Debug)]
 pub struct MaterializedProgram {
     program: Program,
     rules: Vec<MRule>,
@@ -424,6 +427,20 @@ impl MaterializedProgram {
         self.program
             .evaluate_with(&mut db, EvalStrategy::SemiNaive)?;
         Ok(db)
+    }
+
+    /// Bring the base facts to exactly those of `base_db` (an unsaturated
+    /// database): diff it against the current base and [`Self::apply`]
+    /// the resulting delta. The diff runs in either direction, so the
+    /// same materialization can move forward to a newer snapshot and
+    /// back to an older one.
+    pub fn sync_base(&mut self, base_db: &FactDb) -> DeltaStats {
+        let next: BTreeSet<Fact> = all_facts(base_db).into_iter().collect();
+        let delta = FactDelta {
+            insert: next.difference(&self.base).cloned().collect(),
+            remove: self.base.difference(&next).cloned().collect(),
+        };
+        self.apply(&delta)
     }
 
     /// Fold a batch of base-fact changes into the materialization,

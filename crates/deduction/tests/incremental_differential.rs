@@ -2,7 +2,8 @@
 //! stratified programs (joins, recursion, negation) driven by random
 //! insert/delete/update traces, the maintained materialization must be
 //! fact-for-fact identical to a from-scratch semi-naive recompute after
-//! every single step — plus directed regressions for the classic DRed
+//! every single step, whether the steps arrive as explicit deltas or as
+//! whole new bases to sync to — plus directed regressions for the classic DRed
 //! trap (deleting one support of a twice-derived fact) and for
 //! re-derivation through a recursive stratum.
 
@@ -182,11 +183,13 @@ proptest! {
         trace in proptest::collection::vec(op(), 1..20),
     ) {
         let (program, base) = realize(&spec);
-        let mat = MaterializedProgram::new(program, &base);
+        let mat = MaterializedProgram::new(program.clone(), &base);
         // Construction guarantees safety/stratification and no class
         // variables, so the program must be maintainable.
         prop_assert!(mat.is_ok(), "rejected: {:?}", mat.err());
         let mut mat = mat.unwrap();
+        // The same trace again, as whole new bases for `sync_base`.
+        let mut synced = MaterializedProgram::new(program, &base).unwrap();
 
         // Mirror of the live extensional facts, to aim deletions at
         // facts that actually exist.
@@ -235,6 +238,10 @@ proptest! {
             if let Some((got, want)) = drift(&mat) {
                 prop_assert_eq!(got, want, "drift after {:?}", step);
             }
+            // `mat` equals the recompute (checked above), so this holds
+            // the synced materialization to it too.
+            synced.sync_base(&db_of(&live));
+            prop_assert_eq!(synced.live_facts(), mat.live_facts(), "sync_base after {:?}", step);
         }
         // The generator must actually exercise the deletion machinery
         // when the trace asked for deletions against a non-empty base.
@@ -242,6 +249,17 @@ proptest! {
             prop_assert!(deletions > 0 || spec.facts.is_empty());
         }
     }
+}
+
+/// An unsaturated database of the extensional (predicate) facts `facts`.
+fn db_of(facts: &[Fact]) -> FactDb {
+    let mut db = FactDb::new();
+    for f in facts {
+        if let Fact::Pred(name, tuple) = f {
+            db.insert_pred(name.clone(), tuple.clone());
+        }
+    }
+    db
 }
 
 /// The classic DRed trap, directed: a fact with two independent

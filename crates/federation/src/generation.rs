@@ -12,11 +12,13 @@
 //! pin drops.
 //!
 //! Downstream caches key off [`Generation::versions`] (the per-component
-//! `InstanceStore` version counters) plus [`Generation::number`], so a
-//! result computed under one generation can never be served under
-//! another — the serving layer builds one `QueryEngine` per generation
-//! over the shared `Arc`, sharing only the generation-invariant closure
-//! cache and program summary across installs.
+//! `InstanceStore` version counters), so a result computed under one
+//! generation is served under another only where every component it
+//! reads has the same version. The serving layer builds one
+//! `QueryEngine` per generation over the shared `Arc`; the engines of
+//! one store's generations (its lineage) share the closure cache,
+//! program summary, result cache and one reference-evaluator state,
+//! which each engine syncs to its own versions before reading it.
 //!
 //! [`pin`]: GenerationStore::pin
 

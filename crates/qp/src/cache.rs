@@ -330,7 +330,10 @@ mod tests {
     #[test]
     fn sharded_cache_is_usable_across_threads() {
         use std::sync::Arc;
-        let c = Arc::new(SharedResultCache::new(64, 8));
+        // Every shard has room for all 200 keys, so no put can evict
+        // another thread's entry between its put and its get.
+        const SHARDS: usize = 8;
+        let c = Arc::new(SharedResultCache::new(200 * SHARDS, SHARDS));
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let c = Arc::clone(&c);
@@ -346,7 +349,9 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert!(c.stats().hits >= 200 - 64, "each thread saw its own rows");
+        let stats = c.stats();
+        assert_eq!(stats.hits, 200, "each thread saw its own rows");
+        assert_eq!(stats.evictions, 0);
     }
 
     #[test]

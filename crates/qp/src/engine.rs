@@ -12,6 +12,12 @@
 //! Both paths return the same sorted, deduplicated answer rows (the
 //! differential suite enforces this), so `Saturate` is the oracle and
 //! `Planned` is the optimisation.
+//!
+//! A serving layer builds one engine per snapshot of its store, each the
+//! [`QueryEngine::successor`] of the last. Such a lineage shares one
+//! closure cache, program summary, result cache and reference-evaluator
+//! state; the `Saturate` path syncs that state to the asking engine's
+//! snapshot by base-fact delta, so no engine copies a materialization.
 
 use crate::cache::{CacheStats, SharedResultCache, DEFAULT_SHARDS};
 use crate::degrade::{self, AnswerCompleteness};
@@ -21,7 +27,7 @@ use crate::plan::{PlanNode, QueryPlan, QueryStrategy, ScanKind, ScanNode};
 use crate::planner::{program_summary, ClosureCache, Planner};
 use crate::Result;
 use analysis::ProgramSummary;
-use deduction::materialize::{all_facts, Fact as DFact, FactDelta, MaterializedProgram};
+use deduction::materialize::MaterializedProgram;
 use deduction::{EvalStats, Subst, Term};
 use federation::client::FsmClient;
 use federation::connector::{FaultPlan, FaultyConnector, InProcessConnector, VirtualClock};
@@ -272,26 +278,27 @@ impl FaultSession {
     }
 }
 
-/// Reference-evaluator state behind the `Saturate` strategy.
+/// Reference-evaluator state behind the `Saturate` strategy, keyed by
+/// the component version vector it currently answers for.
 ///
 /// The preferred shape is `Incremental`: a delta-maintained
-/// [`MaterializedProgram`] plus the base-fact set it was last synced to.
-/// A store mutation then costs one unsaturated rebuild of the base facts
-/// (O(federation objects)) and one delta application (O(changed
-/// derivations)) instead of a from-scratch saturation. Programs the
-/// maintainer rejects (non-stratifiable, unsafe, class-variable rules)
-/// fall back to `Full`, the historical rebuild-and-saturate path.
+/// [`MaterializedProgram`]. Moving it to another version vector costs
+/// one unsaturated rebuild of the base facts (O(federation objects)) and
+/// one [`MaterializedProgram::sync_base`] (O(changed derivations))
+/// instead of a from-scratch saturation. Programs the maintainer rejects
+/// (non-stratifiable, unsafe, class-variable rules) fall back to `Full`,
+/// the historical rebuild-and-saturate path.
 enum SatState {
     Incremental {
         versions: Vec<u64>,
-        /// Base facts the materialization was last synced against; the
-        /// next refresh diffs the freshly built base against this set to
-        /// produce the typed delta.
-        base: BTreeSet<DFact>,
         mat: MaterializedProgram,
     },
     Full(Vec<u64>, FederationDb),
 }
+
+/// One reference-evaluator state, shared by every engine of a store
+/// lineage (see [`QueryEngine::successor`]).
+type SharedSatState = Arc<Mutex<Option<SatState>>>;
 
 impl SatState {
     fn versions(&self) -> &[u64] {
@@ -318,9 +325,14 @@ struct FetchedFederation {
 /// an [`Arc`] and any number of threads can `ask` concurrently. Planned
 /// execution against an unchanged federation is lock-free apart from
 /// one sharded-cache lock and one `RwLock` read of the extent
-/// statistics; the reference saturate path serializes on its own state
-/// mutex (it mutates the shared [`FederationDb`]), as does an installed
+/// statistics; the reference saturate path serializes on its state
+/// mutex (it mutates the maintained fact base), as does an installed
 /// fault session.
+///
+/// A serving layer builds one engine per generation of its store with
+/// [`Self::successor`]. The engines of such a lineage share everything
+/// that does not depend on the snapshot: the goal-closure cache, the
+/// program summary, the result cache and the reference-evaluator state.
 pub struct QueryEngine {
     global: GlobalSchema,
     /// The component snapshot this engine answers against. Arc'd so a
@@ -333,11 +345,11 @@ pub struct QueryEngine {
     /// footprint and version vector, so a sibling generation hits only
     /// when every component the plan reads is unchanged.
     cache: Arc<SharedResultCache>,
-    /// Reference evaluator state, keyed by the component versions it was
-    /// built against. One mutex for the whole saturate path: the
-    /// reference evaluator mutates the fact base, so concurrent
-    /// `Saturate` asks serialize here by design.
-    saturate_db: Mutex<Option<SatState>>,
+    /// Reference evaluator state, set on first use or shared from a
+    /// predecessor. One mutex for the whole saturate path of a lineage:
+    /// each ask syncs the state to its own engine's versions and then
+    /// reads it, so concurrent `Saturate` asks serialize here by design.
+    saturate_db: OnceLock<SharedSatState>,
     /// Per-extent row counts for the planner's cardinality heuristic.
     /// Gathering is O(total federation objects), so it only reruns when
     /// a store mutates; reads share the lock.
@@ -351,15 +363,15 @@ pub struct QueryEngine {
     /// transient-fault state is inherently shared).
     fault: Mutex<Option<FaultSession>>,
     /// Per-goal relevance closures and demand feasibility, shared by
-    /// every planner this engine builds. The global program is fixed for
-    /// the engine's lifetime, so entries never invalidate.
+    /// every planner of the lineage. The global program is fixed for the
+    /// lineage's lifetime, so entries never invalidate.
     closure_cache: ClosureCache,
     /// The abstract-interpretation summary of the global rule program,
-    /// computed once per engine and shared by every planner it builds
+    /// computed once per lineage and shared by every planner it builds
     /// (type signatures, provable emptiness, static demand feasibility).
     /// Purely program-derived, so — like the closure cache — it never
-    /// invalidates over the engine's lifetime.
-    summary: OnceLock<Arc<ProgramSummary>>,
+    /// invalidates.
+    summary: Arc<OnceLock<Arc<ProgramSummary>>>,
     /// Whether planners annotate demand-seeded derived scans (on by
     /// default; benches switch it off to isolate the closure-only path).
     demand_enabled: AtomicBool,
@@ -409,30 +421,39 @@ impl QueryEngine {
             components,
             meta,
             cache: Arc::new(SharedResultCache::new(CACHE_CAPACITY, DEFAULT_SHARDS)),
-            saturate_db: Mutex::new(None),
+            saturate_db: OnceLock::new(),
             extent_stats: RwLock::new(None),
             sat_eval: Mutex::new(None),
             last_stats: Mutex::new(None),
             fault: Mutex::new(None),
-            closure_cache: Arc::new(Mutex::new(BTreeMap::new())),
-            summary: OnceLock::new(),
+            closure_cache: ClosureCache::default(),
+            summary: Arc::default(),
             demand_enabled: AtomicBool::new(true),
         }
     }
 
-    /// Replace the engine's goal-closure cache with a shared one. The
-    /// cache is purely program-derived, so a serving layer reuses one
-    /// instance across the per-generation engines it builds (the global
-    /// program never changes between generations).
-    pub fn set_shared_closure_cache(&mut self, cache: ClosureCache) {
-        self.closure_cache = cache;
-    }
-
-    /// Seed the engine's program summary from a shared one (same
-    /// reasoning as [`Self::set_shared_closure_cache`]). A no-op if this
-    /// engine already computed its own.
-    pub fn set_shared_summary(&mut self, summary: Arc<ProgramSummary>) {
-        let _ = self.summary.set(summary);
+    /// An engine over `components`, another snapshot of this engine's
+    /// store lineage (a later or earlier generation of one serving
+    /// store). Within a lineage a version number identifies a component
+    /// state, which makes everything below safe to share rather than
+    /// rebuild:
+    ///
+    /// * the goal-closure cache and program summary — the global program
+    ///   is the same for every snapshot;
+    /// * the result cache — entries validate per footprint component
+    ///   against the asking engine's version vector;
+    /// * the reference-evaluator state — see
+    ///   [`Self::adopt_saturate_state`].
+    ///
+    /// The demand setting carries over; an installed fault plan does not.
+    pub fn successor(&self, components: Arc<Vec<(Schema, InstanceStore)>>) -> QueryEngine {
+        let mut next = Self::from_parts_arc(self.global.clone(), components, self.meta.clone());
+        next.cache = Arc::clone(&self.cache);
+        next.closure_cache = Arc::clone(&self.closure_cache);
+        next.summary = Arc::clone(&self.summary);
+        next.set_demand_enabled(self.demand_enabled.load(Ordering::Relaxed));
+        next.adopt_saturate_state(self);
+        next
     }
 
     /// Replace the engine's result cache with a shared one. Sound across
@@ -444,47 +465,30 @@ impl QueryEngine {
         self.cache = cache;
     }
 
-    /// The engine's result cache, for sharing with sibling engines over
-    /// the same store lineage.
-    pub fn result_cache(&self) -> Arc<SharedResultCache> {
-        Arc::clone(&self.cache)
-    }
-
-    /// Seed this engine's reference-evaluator state from a previous
-    /// engine over the same federation (an earlier generation). The
-    /// donor's incrementally maintained materialization is *cloned* — the
-    /// donor keeps serving its own pinned snapshot — and the first
-    /// `Saturate` ask on this engine folds the base-fact diff into the
-    /// adopted materialization instead of re-saturating from scratch.
-    /// A no-op when the donor has no incremental state yet or this engine
-    /// already built its own.
+    /// Share the reference-evaluator state of `prev`, an engine over
+    /// another snapshot of the same store lineage. Nothing is copied:
+    /// both engines lock one state, and a `Saturate` ask on either first
+    /// syncs it to the asking engine's version vector by diffing base
+    /// facts. The diff runs in either direction, so `prev` keeps
+    /// answering for its own pinned snapshot. A no-op when this engine
+    /// already holds a state (it asked `Saturate` or adopted before).
     pub fn adopt_saturate_state(&self, prev: &QueryEngine) {
-        let donor = prev.saturate_db.lock().unwrap();
-        if let Some(SatState::Incremental {
-            versions,
-            base,
-            mat,
-        }) = &*donor
-        {
-            let mut mine = self.saturate_db.lock().unwrap();
-            if mine.is_none() {
-                *mine = Some(SatState::Incremental {
-                    versions: versions.clone(),
-                    base: base.clone(),
-                    mat: mat.clone(),
-                });
-            }
-        }
+        let _ = self.saturate_db.set(Arc::clone(prev.saturate_state()));
     }
 
-    /// The engine's goal-closure cache, for sharing with sibling engines
-    /// over the same global program.
+    /// This engine's reference-evaluator state, created empty on first
+    /// use unless one was adopted.
+    fn saturate_state(&self) -> &SharedSatState {
+        self.saturate_db.get_or_init(SharedSatState::default)
+    }
+
+    /// The engine's goal-closure cache (shared across its lineage).
     pub fn closure_cache(&self) -> ClosureCache {
         Arc::clone(&self.closure_cache)
     }
 
-    /// The engine's program summary (computing it on first call), for
-    /// sharing with sibling engines over the same global program.
+    /// The engine's program summary, computed on first call and shared
+    /// across its lineage.
     pub fn summary(&self) -> Arc<ProgramSummary> {
         Arc::clone(
             self.summary
@@ -860,7 +864,7 @@ impl QueryEngine {
     /// rows. Serializes concurrent callers on the saturate-state mutex.
     fn saturate_rows(&self, query: &GlobalQuery) -> Result<Vec<Vec<Value>>> {
         let versions = self.versions();
-        let mut guard = self.saturate_db.lock().unwrap();
+        let mut guard = self.saturate_state().lock().unwrap();
         self.refresh_saturate_state(&mut guard, versions)?;
         let substs = match guard.as_mut().expect("just ensured") {
             SatState::Incremental { mat, .. } => mat.query(&query.body()),
@@ -869,15 +873,16 @@ impl QueryEngine {
         Ok(normalize_rows(&substs, &query.vars()))
     }
 
-    /// Bring the reference-evaluator state up to `versions`.
+    /// Bring the reference-evaluator state to `versions`, this engine's
+    /// snapshot.
     ///
-    /// Stale incremental state refreshes by *delta*: rebuild the base
-    /// facts (unsaturated — no rule evaluation), diff against the base
-    /// the materialization was last synced to, and apply the typed
-    /// insert/remove batch. Derived facts are repaired by counting/DRed
-    /// maintenance instead of being recomputed. Cold starts attempt the
-    /// incremental shape and fall back to the full rebuild-and-saturate
-    /// path when the maintainer rejects the program.
+    /// Incremental state at other versions — older or newer, since the
+    /// state is shared across a lineage — moves by *delta*: rebuild the
+    /// base facts (unsaturated — no rule evaluation) and sync the
+    /// materialization to them. Derived facts are repaired by
+    /// counting/DRed maintenance instead of being recomputed. Cold starts
+    /// attempt the incremental shape and fall back to the full
+    /// rebuild-and-saturate path when the maintainer rejects the program.
     fn refresh_saturate_state(
         &self,
         guard: &mut Option<SatState>,
@@ -886,22 +891,9 @@ impl QueryEngine {
         if matches!(&*guard, Some(s) if s.versions() == versions.as_slice()) {
             return Ok(());
         }
-        if let Some(SatState::Incremental {
-            versions: v,
-            base,
-            mat,
-        }) = guard.as_mut()
-        {
+        if let Some(SatState::Incremental { versions: v, mat }) = guard.as_mut() {
             let next = FederationDb::build(&self.global, &self.components, &self.meta)?;
-            let new_base: BTreeSet<DFact> = all_facts(next.facts()).into_iter().collect();
-            let mut delta = FactDelta::new();
-            for gone in base.difference(&new_base) {
-                delta.remove(gone.clone());
-            }
-            for added in new_base.difference(base) {
-                delta.insert(added.clone());
-            }
-            let stats = mat.apply(&delta);
+            let stats = mat.sync_base(next.facts());
             obs::instant!(
                 "qp.saturate.delta",
                 "qp",
@@ -910,20 +902,14 @@ impl QueryEngine {
                 stats.physical_removes,
                 stats.rederived
             );
-            *base = new_base;
             *v = versions;
             return Ok(());
         }
         let mut db = FederationDb::build(&self.global, &self.components, &self.meta)?;
-        let base: BTreeSet<DFact> = all_facts(db.facts()).into_iter().collect();
         match MaterializedProgram::new(db.program().clone(), db.facts()) {
             Ok(mat) => {
                 *self.sat_eval.lock().unwrap() = Some(mat.initial_stats());
-                *guard = Some(SatState::Incremental {
-                    versions,
-                    base,
-                    mat,
-                });
+                *guard = Some(SatState::Incremental { versions, mat });
             }
             Err(_) => {
                 // Program shapes the maintainer rejects (class-variable
@@ -1038,7 +1024,6 @@ impl QueryEngine {
     }
 }
 
-/// Project substitutions onto the answer variables, sort, deduplicate.
 /// FNV-1a/64 of a plan's full cache key, rendered as 16 hex chars —
 /// short enough for slow-log lines and trace details, collision-safe at
 /// any plausible number of distinct plan shapes, and stable across runs
@@ -1052,6 +1037,7 @@ fn short_fp(key: &str) -> String {
     format!("{h:016x}")
 }
 
+/// Project substitutions onto the answer variables, sort, deduplicate.
 pub fn normalize_rows(substs: &[Subst], vars: &[String]) -> Vec<Vec<Value>> {
     let mut rows: Vec<Vec<Value>> = substs
         .iter()
@@ -1480,6 +1466,70 @@ mod tests {
         assert_eq!(engine.cache_stats().invalidations, 1);
         let saturate = engine.ask_text(&text, QueryStrategy::Saturate).unwrap();
         assert_eq!(third.rows, saturate.rows);
+    }
+
+    /// One lineage answers `Saturate` at generation N+1, then at the
+    /// still-pinned N, then at N+1 again. The engines share one
+    /// reference state (no copy per generation), the state moves both
+    /// ways by base-fact sync, and every answer equals a fresh engine's
+    /// at that generation.
+    #[test]
+    fn lineage_shares_one_saturate_state_across_generations() {
+        let fsm = campus_fsm();
+        let gen_n = QueryEngine::connect(&fsm, IntegrationStrategy::Accumulation).unwrap();
+        // The derived "faculty but not student" class: faculty minus the
+        // intersection, through negation.
+        let faculty = gen_n
+            .global()
+            .global_class("S1", "faculty")
+            .unwrap()
+            .to_string();
+        let derived = gen_n
+            .global()
+            .rules
+            .iter()
+            .find(|r| {
+                r.body.iter().any(|l| l.is_negative())
+                    && r.body[0].relation() == Some(faculty.as_str())
+            })
+            .and_then(|r| r.head()?.relation())
+            .expect("intersection generates a difference rule")
+            .to_string();
+        let text = format!("?- <X: {derived}>.");
+        gen_n.ask_text(&text, QueryStrategy::Saturate).unwrap();
+
+        // Generation N+1: one more faculty member.
+        let mut next = gen_n.components().to_vec();
+        let (schema, store) = &mut next[0];
+        store
+            .create(schema, "faculty", |o| {
+                o.with_attr("fssn", "555").with_attr("income", 10i64)
+            })
+            .unwrap();
+        let gen_n1 = gen_n.successor(Arc::new(next));
+        assert!(Arc::ptr_eq(gen_n.saturate_state(), gen_n1.saturate_state()));
+
+        let fresh = |e: &QueryEngine| {
+            QueryEngine::from_parts_arc(e.global.clone(), e.components_arc(), e.meta.clone())
+                .ask_text(&text, QueryStrategy::Saturate)
+                .unwrap()
+                .rows
+        };
+        let (want_n, want_n1) = (fresh(&gen_n), fresh(&gen_n1));
+        assert_ne!(want_n, want_n1, "the install must change the answer");
+        for (engine, want) in [(&gen_n1, &want_n1), (&gen_n, &want_n), (&gen_n1, &want_n1)] {
+            // Analyze bypasses the shared result cache, so every ask
+            // reads the shared reference state.
+            let got = engine.ask_analyze(&text, QueryStrategy::Saturate).unwrap();
+            assert_eq!(&got.answer.rows, want);
+            let state = engine.saturate_state().lock().unwrap();
+            match state.as_ref() {
+                Some(SatState::Incremental { versions, .. }) => {
+                    assert_eq!(versions, &engine.versions())
+                }
+                _ => panic!("campus program must be maintained incrementally"),
+            }
+        }
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! the differential test suite, to what the saturate-everything reference
 //! evaluator produces.
 
+use crate::engine::normalize_rows;
 use crate::plan::{demand_key, DemandKey, PlanNode, QueryPlan, ScanKind, ScanNode};
 use crate::{QpError, Result};
-use deduction::term::{Literal, Term};
+use deduction::term::{Literal, OTermPat, Term};
 use deduction::unify::unify_oterm_pattern;
 use deduction::Subst;
 use federation::fsm::GlobalSchema;
@@ -24,6 +25,7 @@ use federation::{FactMaterializer, FederationDb};
 use fedoo_core::QpStats;
 use oo_model::{InstanceStore, Schema, Value};
 use rayon::prelude::*;
+use relational::query::Predicate;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::Instant;
 
@@ -133,18 +135,7 @@ pub fn execute_degraded(
     let _exec_span = obs::span!("qp.execute", "qp", "degraded={}", degraded.len());
     let (substs, profile) = eval_node(&mut ctx, &plan.root)?;
     let mut stats = ctx.stats;
-
-    let mut rows: Vec<Vec<Value>> = substs
-        .iter()
-        .map(|s| {
-            plan.vars
-                .iter()
-                .map(|v| s.value_of(&Term::var(v.clone())).unwrap_or(Value::Null))
-                .collect()
-        })
-        .collect();
-    rows.sort();
-    rows.dedup();
+    let rows = normalize_rows(&substs, &plan.vars);
     stats.rows_emitted = rows.len() as u64;
     Ok(ExecOutcome {
         rows,
@@ -397,6 +388,33 @@ fn hash_join(left: &[Subst], right: &[Subst], on: &[String], scan_lit: &Literal)
     out
 }
 
+/// Filter `facts` by a scan's pushdown predicates and unify the
+/// survivors with its pattern: the rows, plus how many facts were scanned
+/// and how many the pushdown pruned.
+fn filter_unify(
+    pat: &OTermPat,
+    pushdown: &[Predicate],
+    facts: &[OTermPat],
+) -> (Vec<Subst>, u64, u64) {
+    let mut pruned = 0u64;
+    let mut out = Vec::new();
+    'facts: for fact in facts {
+        for p in pushdown {
+            if let Some(Term::Val(v)) = fact.binding(&p.column) {
+                if !p.cmp.eval(v, &p.constant) {
+                    pruned += 1;
+                    continue 'facts;
+                }
+            }
+        }
+        let mut s = Subst::new();
+        if unify_oterm_pattern(pat, fact, &mut s) {
+            out.push(s);
+        }
+    }
+    (out, facts.len() as u64, pruned)
+}
+
 /// Run one scan: scatter base scans across component targets in
 /// parallel, or probe the restricted deduction state for derived ones.
 ///
@@ -436,55 +454,24 @@ fn scan_exec(
                     let facts = mat
                         .facts_for(t.comp_idx, &scan.relation, Some(&proj))
                         .map_err(QpError::Fed)?;
-                    let mut scanned = 0u64;
-                    let mut pruned = 0u64;
-                    let mut out = Vec::new();
-                    'facts: for fact in &facts {
-                        scanned += 1;
-                        for p in &scan.pushdown {
-                            if let Some(Term::Val(v)) = fact.binding(&p.column) {
-                                if !p.cmp.eval(v, &p.constant) {
-                                    pruned += 1;
-                                    continue 'facts;
-                                }
-                            }
-                        }
-                        let mut s = Subst::new();
-                        if unify_oterm_pattern(pat, fact, &mut s) {
-                            out.push(s);
-                        }
-                    }
-                    Ok((out, scanned, pruned))
+                    Ok(filter_unify(pat, &scan.pushdown, &facts))
                 })
                 .collect();
+            // Identity bridges: paired objects belong to their partner's
+            // global class too, regardless of which component owns them —
+            // the saturate path sees these via `materialize`, so base
+            // scans must as well, filtered by the same pushdown predicates
+            // as materialised facts.
+            let bridges = ctx.mat.bridge_facts(Some(&scan.relation), None);
             let mut rows = Vec::new();
-            for r in per {
+            for r in per
+                .into_iter()
+                .chain([Ok(filter_unify(pat, &scan.pushdown, &bridges))])
+            {
                 let (batch, scanned, pruned) = r?;
                 ctx.stats.rows_scanned += scanned;
                 ctx.stats.pushdown_pruned += pruned;
                 rows.extend(batch);
-            }
-            // Identity bridges: paired objects belong to their partner's
-            // global class too, regardless of which component owns them —
-            // the saturate path sees these via `materialize`, so base
-            // scans must as well, and the scan's pushdown predicates must
-            // filter them exactly like materialised facts (today bridge
-            // facts bind no attributes, so the loop is a no-op, but any
-            // future binding would otherwise bypass consumed comparisons).
-            'bridges: for fact in ctx.mat.bridge_facts(Some(&scan.relation), None) {
-                ctx.stats.rows_scanned += 1;
-                for p in &scan.pushdown {
-                    if let Some(Term::Val(v)) = fact.binding(&p.column) {
-                        if !p.cmp.eval(v, &p.constant) {
-                            ctx.stats.pushdown_pruned += 1;
-                            continue 'bridges;
-                        }
-                    }
-                }
-                let mut s = Subst::new();
-                if unify_oterm_pattern(pat, &fact, &mut s) {
-                    rows.push(s);
-                }
             }
             Ok((rows, 0))
         }

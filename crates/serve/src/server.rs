@@ -6,9 +6,10 @@
 //! writers, which clone-and-install the next generation through
 //! [`GenerationStore::mutate`]. The last few generations' engines stay
 //! cached so readers that pinned just before an install still hit a
-//! warm engine; the generation-invariant [`ClosureCache`] and
-//! `ProgramSummary` are shared across every engine the server builds,
-//! so an install never re-derives program analysis.
+//! warm engine. Every engine is a [`QueryEngine::successor`] of the
+//! first, so the whole lineage shares one closure cache, program
+//! summary, result cache and reference-evaluator state: an install
+//! re-derives no program analysis and copies no materialization.
 //!
 //! All request handling goes through [`Server::handle`] (or
 //! [`Server::handle_line`] for raw JSONL), which is `&self` — the
@@ -24,11 +25,10 @@ use federation::mapping::MetaRegistry;
 use federation::{FaultPlan, Generation, GenerationStore, RetryPolicy};
 use obs::report as span_names;
 use oo_model::{InstanceStore, Schema};
-use qp::planner::ClosureCache;
 use qp::{json_string, value_json, QpError, QueryAnswer, QueryEngine};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Server construction knobs.
@@ -72,18 +72,11 @@ impl Handled {
 }
 
 pub struct Server {
-    global: GlobalSchema,
-    meta: MetaRegistry,
     gens: GenerationStore,
-    /// `(generation number, engine)`, most recent last.
+    /// `(generation number, engine)`, most recent last. Never empty: it
+    /// starts with generation 0's engine, and every later engine is a
+    /// successor of a cached one.
     engines: Mutex<Vec<(u64, Arc<QueryEngine>)>>,
-    closure_cache: ClosureCache,
-    /// One result cache shared by every generation's engine. Entries
-    /// carry their component footprint + version vector, so answers
-    /// survive generation installs that never touch the components a
-    /// plan reads; anything inside the footprint still invalidates.
-    result_cache: Arc<qp::SharedResultCache>,
-    summary: OnceLock<Arc<analysis::ProgramSummary>>,
     fault: Mutex<Option<(FaultPlan, RetryPolicy)>>,
     admission: AdmissionController,
     tenants: TenantRegistry,
@@ -102,14 +95,18 @@ impl Server {
         meta: MetaRegistry,
         cfg: ServeConfig,
     ) -> Self {
+        let gens = GenerationStore::new(components);
+        let mut engine = QueryEngine::from_parts_arc(global, gens.pin().components(), meta);
+        // One result cache for the whole lineage. Entries carry their
+        // component footprint + version vector, so answers survive
+        // installs that never touch the components a plan reads.
+        engine.set_shared_result_cache(Arc::new(qp::SharedResultCache::new(
+            256,
+            qp::DEFAULT_SHARDS,
+        )));
         Server {
-            global,
-            meta,
-            gens: GenerationStore::new(components),
-            engines: Mutex::new(Vec::new()),
-            closure_cache: Arc::new(Mutex::new(BTreeMap::new())),
-            result_cache: Arc::new(qp::SharedResultCache::new(256, qp::DEFAULT_SHARDS)),
-            summary: OnceLock::new(),
+            gens,
+            engines: Mutex::new(vec![(0, Arc::new(engine))]),
             fault: Mutex::new(None),
             admission: AdmissionController::new(cfg.admission),
             tenants: TenantRegistry::new(),
@@ -171,32 +168,14 @@ impl Server {
         if let Some((_, e)) = engines.iter().find(|(n, _)| *n == gen.number()) {
             return Arc::clone(e);
         }
-        let mut engine =
-            QueryEngine::from_parts_arc(self.global.clone(), gen.components(), self.meta.clone());
-        engine.set_shared_closure_cache(Arc::clone(&self.closure_cache));
-        engine.set_shared_result_cache(Arc::clone(&self.result_cache));
-        if let Some(s) = self.summary.get() {
-            engine.set_shared_summary(Arc::clone(s));
-        }
+        // Any cached engine serves as the predecessor: they all share the
+        // same lineage state.
+        let (_, prev) = engines.last().expect("engine cache is never empty");
+        let engine = prev.successor(gen.components());
         if let Some((plan, policy)) = self.fault.lock().unwrap().as_ref() {
             engine.apply_fault_plan(plan.clone(), *policy);
         }
-        // A generation install applies a *delta* to the previous
-        // generation's maintained materialization instead of discarding
-        // the reference-evaluator state: clone the newest predecessor's
-        // incremental state (the donor keeps serving its pinned
-        // snapshot) and let the first Saturate ask fold in the base
-        // diff.
-        if let Some((_, prev)) = engines
-            .iter()
-            .filter(|(n, _)| *n < gen.number())
-            .max_by_key(|(n, _)| *n)
-        {
-            engine.adopt_saturate_state(prev);
-        }
         let engine = Arc::new(engine);
-        // First build donates its summary; later builds received it above.
-        let _ = self.summary.set(engine.summary());
         engines.push((gen.number(), Arc::clone(&engine)));
         let cap = self.cfg.engine_cache.max(1);
         while engines.len() > cap {
@@ -716,6 +695,17 @@ mod tests {
         // The unparseable line has no attributable tenant; the other two
         // failures land on the default tenant.
         assert_eq!(server.tenants().tenant("default").errors, 2);
+    }
+
+    #[test]
+    fn deeply_nested_line_is_a_parse_error() {
+        let server = library_server(ServeConfig::default());
+        let r = server.handle_line(&"[".repeat(100_000)).response;
+        assert!(r.contains("\"code\":\"parse\""), "{r}");
+        assert!(r.contains("nesting deeper"), "{r}");
+        // The server keeps serving after the hostile line.
+        let r = server.handle_line("{\"op\":\"ping\"}").response;
+        assert!(r.contains("\"ok\":true"), "{r}");
     }
 
     #[test]
