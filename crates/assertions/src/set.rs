@@ -31,6 +31,19 @@ pub enum PairRelation {
 }
 
 impl PairRelation {
+    /// What assertion `id` with operator `op` states about its pair, from
+    /// its left class's point of view.
+    pub fn of(op: ClassOp, id: usize) -> Self {
+        match op {
+            ClassOp::Equiv => PairRelation::Equiv(id),
+            ClassOp::Incl => PairRelation::Incl(id),
+            ClassOp::InclRev => PairRelation::InclRev(id),
+            ClassOp::Intersect => PairRelation::Intersect(id),
+            ClassOp::Disjoint => PairRelation::Disjoint(id),
+            ClassOp::Derive => PairRelation::Derivation(id),
+        }
+    }
+
     /// The index of the underlying assertion, if any.
     pub fn assertion_id(&self) -> Option<usize> {
         match self {
@@ -191,29 +204,15 @@ impl AssertionSet {
             class2.to_string(),
         );
         if let Some(&id) = self.index.get(&key) {
-            return match self.assertions[id].op {
-                ClassOp::Equiv => PairRelation::Equiv(id),
-                ClassOp::Incl => PairRelation::Incl(id),
-                ClassOp::InclRev => PairRelation::InclRev(id),
-                ClassOp::Intersect => PairRelation::Intersect(id),
-                ClassOp::Disjoint => PairRelation::Disjoint(id),
-                ClassOp::Derive => unreachable!("derivations are not pair-indexed"),
-            };
+            return PairRelation::of(self.assertions[id].op, id);
         }
         let rev_key = (key.2, key.3, key.0, key.1);
         if let Some(&id) = self.index.get(&rev_key) {
             let flipped = self.assertions[id]
                 .op
                 .flipped()
-                .expect("non-derivation ops flip");
-            return match flipped {
-                ClassOp::Equiv => PairRelation::Equiv(id),
-                ClassOp::Incl => PairRelation::Incl(id),
-                ClassOp::InclRev => PairRelation::InclRev(id),
-                ClassOp::Intersect => PairRelation::Intersect(id),
-                ClassOp::Disjoint => PairRelation::Disjoint(id),
-                ClassOp::Derive => unreachable!(),
-            };
+                .expect("derivations are not pair-indexed");
+            return PairRelation::of(flipped, id);
         }
         // Derivation involvement: both classes appear in the same
         // derivation assertion.

@@ -17,14 +17,16 @@
 //!    (Principles 2 and 6, §6.2);
 //! 6. aggregation ranges resolved through `IS(·)`.
 
+use crate::graph::{ClassId, SchemaGraph};
 use crate::integrated::{ISClass, IntegratedSchema, SourceRef};
 use crate::principles;
+use crate::relation_table::RelationTable;
 use crate::stats::IntegrationStats;
 use crate::trace::TraceEvent;
 use crate::{IntegrationError, Result};
 use assertions::{AssertionSet, PairRelation};
 use oo_model::Schema;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// Shared integration state for one run over two schemas.
 pub struct Integrator<'a> {
@@ -48,18 +50,22 @@ pub struct Integrator<'a> {
     pending_derivations: BTreeSet<usize>,
     /// Classes already merged (by source), to avoid double-merging.
     merged: BTreeSet<SourceRef>,
-    /// Memoised assertion consultations: a pair examined during the
+    /// The run's assertion consultations, keyed by (S1, S2) class ids.
+    pub(crate) table: RelationTable,
+    /// Pairs already counted as a check: a pair examined during the
     /// depth-first phase is never *counted* again when the breadth-first
     /// phase reaches it (each unique pair costs one check).
-    relation_cache: std::collections::BTreeMap<(String, String), assertions::PairRelation>,
+    counted: HashSet<(ClassId, ClassId)>,
 }
 
 impl<'a> Integrator<'a> {
-    pub fn new(s1: &'a Schema, s2: &'a Schema, assertions: &'a AssertionSet) -> Self {
+    /// A run over the schemas of `g1` (S1) and `g2` (S2).
+    pub fn new(g1: &SchemaGraph<'a>, g2: &SchemaGraph<'a>, assertions: &'a AssertionSet) -> Self {
         Integrator {
-            s1,
-            s2,
+            s1: g1.schema,
+            s2: g2.schema,
             assertions,
+            table: RelationTable::new(g1, g2, assertions),
             output: IntegratedSchema::new(),
             stats: IntegrationStats::new(),
             trace: Vec::new(),
@@ -70,38 +76,37 @@ impl<'a> Integrator<'a> {
             pending_disjoints: BTreeSet::new(),
             pending_derivations: BTreeSet::new(),
             merged: BTreeSet::new(),
-            relation_cache: std::collections::BTreeMap::new(),
+            counted: HashSet::new(),
         }
     }
 
-    pub fn push_trace(&mut self, event: TraceEvent) {
+    /// Record a trace event; `event` runs only when the trace is collected,
+    /// so an untraced run builds none of its strings.
+    pub fn push_trace(&mut self, event: impl FnOnce() -> TraceEvent) {
         if self.collect_trace {
-            self.trace.push(event);
+            self.trace.push(event());
         }
     }
 
-    /// The `N₁ θ N₂` consultation for a pair of class names, where `c1`
-    /// lives in `s1` and `c2` in `s2`. Does *not* bump counters — callers
-    /// count according to which phase (BFS/DFS) they are in.
-    pub fn relation(&self, c1: &str, c2: &str) -> PairRelation {
-        self.assertions
-            .relation(self.s1.name.as_str(), c1, self.s2.name.as_str(), c2)
+    /// The `N₁ θ N₂` consultation for S1 class `x` and S2 class `y`. Counts
+    /// a relation lookup but not a check — callers count checks according
+    /// to which phase (BFS/DFS) they are in.
+    pub fn relation(&mut self, x: ClassId, y: ClassId) -> PairRelation {
+        self.stats.relation_lookups += 1;
+        self.table.get(x, y)
     }
 
     /// Memoised consultation: counts one check (BFS or DFS according to
     /// `dfs`) on the first examination of the pair; later examinations are
     /// free (the relation is already known).
-    pub fn relation_counted(&mut self, c1: &str, c2: &str, dfs: bool) -> PairRelation {
-        let key = (c1.to_string(), c2.to_string());
-        if let Some(rel) = self.relation_cache.get(&key) {
-            return *rel;
-        }
-        let rel = self.relation(c1, c2);
-        self.relation_cache.insert(key, rel);
-        if dfs {
-            self.stats.dfs_checks += 1;
-        } else {
-            self.stats.pairs_checked += 1;
+    pub fn relation_counted(&mut self, x: ClassId, y: ClassId, dfs: bool) -> PairRelation {
+        let rel = self.relation(x, y);
+        if self.counted.insert((x, y)) {
+            if dfs {
+                self.stats.dfs_checks += 1;
+            } else {
+                self.stats.pairs_checked += 1;
+            }
         }
         rel
     }
@@ -158,7 +163,7 @@ impl<'a> Integrator<'a> {
         self.merged.insert(left_src.clone());
         self.merged.insert(right_src.clone());
         self.stats.classes_merged += 1;
-        self.push_trace(TraceEvent::Merged {
+        self.push_trace(|| TraceEvent::Merged {
             left: left_src.to_string(),
             right: right_src.to_string(),
             name: name.clone(),
@@ -218,7 +223,7 @@ impl<'a> Integrator<'a> {
         }
         self.output.insert_class(is_class);
         self.stats.classes_copied += 1;
-        self.push_trace(TraceEvent::Copied {
+        self.push_trace(|| TraceEvent::Copied {
             source: src.to_string(),
             name,
         });

@@ -290,14 +290,14 @@ impl IntegratedSchema {
         let mut stack = vec![sub];
         let mut seen = BTreeSet::new();
         while let Some(n) = stack.pop() {
-            for (s, p) in &self.isa {
-                if s == n {
-                    if p == sup {
-                        return true;
-                    }
-                    if seen.insert(p.as_str()) {
-                        stack.push(p);
-                    }
+            // The links are sorted by sub class: `n`'s are one range.
+            let from = (n.to_string(), String::new());
+            for (_, p) in self.isa.range(from..).take_while(|(s, _)| s == n) {
+                if p == sup {
+                    return true;
+                }
+                if seen.insert(p.as_str()) {
+                    stack.push(p);
                 }
             }
         }

@@ -10,7 +10,9 @@
 //! * [`principles`] — the six integration principles of §5
 //!   (equivalence, inclusion, intersection, disjoint, derivation, links);
 //! * [`graph`] — the traversal view of a schema with the §6 virtual start
-//!   node;
+//!   node, over dense class ids;
+//! * `relation_table` — one run's assertion consultations, precomputed
+//!   by class id;
 //! * [`naive`] — algorithm `naive_schema_integration` (pure breadth-first
 //!   pair expansion, the > O(n²) baseline);
 //! * [`optimized`] — algorithm `schema_integration` + `path_labelling`
@@ -28,12 +30,13 @@ pub mod integrated;
 pub mod naive;
 pub mod optimized;
 pub mod principles;
+pub(crate) mod relation_table;
 pub mod stats;
 pub mod trace;
 
 pub use analysis::{AnalysisStats, Report as AnalysisReport};
 pub use context::Integrator;
-pub use graph::{Node, SchemaGraph};
+pub use graph::{ClassId, SchemaGraph};
 pub use integrated::{AifKind, AttrOrigin, ISAgg, ISClass, IntegratedSchema, SourceRef};
 pub use naive::{naive_schema_integration, naive_schema_integration_unchecked};
 pub use optimized::{schema_integration, schema_integration_with_options, IntegrationOptions};

@@ -8,14 +8,14 @@
 //! optimized algorithm (§6.1's `schema_integration`) is measured against.
 
 use crate::context::Integrator;
-use crate::graph::{Node, SchemaGraph};
+use crate::graph::{ClassId, SchemaGraph};
 use crate::integrated::{IntegratedSchema, SourceRef};
 use crate::stats::IntegrationStats;
 use crate::trace::TraceEvent;
 use crate::Result;
 use assertions::{AssertionSet, PairRelation};
 use oo_model::Schema;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// The result of one integration run.
 #[derive(Debug, Clone)]
@@ -164,55 +164,28 @@ fn naive_inner(
         }
         false => (None, Vec::new()),
     };
-    let mut ctx = Integrator::new(s1, s2, assertions);
-    ctx.collect_trace = collect_trace;
     let g1 = SchemaGraph::new(s1);
     let g2 = SchemaGraph::new(s2);
+    let mut ctx = Integrator::new(&g1, &g2, assertions);
+    ctx.collect_trace = collect_trace;
 
-    let mut queue: VecDeque<(Node, Node)> = VecDeque::new();
-    let mut seen: BTreeSet<(Node, Node)> = BTreeSet::new();
-    let start = (g1.start(), g2.start());
-    seen.insert(start.clone());
-    queue.push_back(start);
-
-    while let Some((n1, n2)) = queue.pop_front() {
-        let kids1 = g1.children(&n1);
-        let kids2 = g2.children(&n2);
+    let mut queue = PairQueue::new(g1.start(), g2.start());
+    while let Some((n1, n2)) = queue.pop() {
+        let kids1 = g1.children(n1);
+        let kids2 = g2.children(n2);
         // Line 6: all pairs (N1i, N2j), (N1, N2j), (N1i, N2).
-        for k1 in &kids1 {
-            for k2 in &kids2 {
-                enqueue(
-                    &mut queue,
-                    &mut seen,
-                    &mut ctx.stats,
-                    k1.clone(),
-                    k2.clone(),
-                );
+        for &k1 in kids1 {
+            for &k2 in kids2 {
+                queue.push(&mut ctx.stats, k1, k2);
             }
         }
-        for k2 in &kids2 {
-            enqueue(
-                &mut queue,
-                &mut seen,
-                &mut ctx.stats,
-                n1.clone(),
-                k2.clone(),
-            );
-        }
-        for k1 in &kids1 {
-            enqueue(
-                &mut queue,
-                &mut seen,
-                &mut ctx.stats,
-                k1.clone(),
-                n2.clone(),
-            );
-        }
+        queue.push_right(&mut ctx.stats, n1, kids2);
+        queue.push_left(&mut ctx.stats, kids1, n2);
         // Line 7: integrate according to the assertion between N1 and N2.
-        if let (Some(c1), Some(c2)) = (n1.class_name(), n2.class_name()) {
+        if let (Some(c1), Some(c2)) = (g1.name(n1), g2.name(n2)) {
             ctx.stats.pairs_checked += 1;
-            let rel = ctx.relation(c1, c2);
-            ctx.push_trace(TraceEvent::PopPair {
+            let rel = ctx.relation(n1, n2);
+            ctx.push_trace(|| TraceEvent::PopPair {
                 left: c1.to_string(),
                 right: c2.to_string(),
                 relation: relation_name(&rel).to_string(),
@@ -231,17 +204,55 @@ fn naive_inner(
     })
 }
 
-fn enqueue(
-    queue: &mut VecDeque<(Node, Node)>,
-    seen: &mut BTreeSet<(Node, Node)>,
-    stats: &mut IntegrationStats,
-    a: Node,
-    b: Node,
-) {
-    let pair = (a, b);
-    if seen.insert(pair.clone()) {
-        stats.pairs_enqueued += 1;
-        queue.push_back(pair);
+/// The breadth-first queue `S_b` of node pairs; a pair is enqueued at most
+/// once.
+pub(crate) struct PairQueue {
+    queue: VecDeque<(ClassId, ClassId)>,
+    seen: HashSet<(ClassId, ClassId)>,
+}
+
+impl PairQueue {
+    /// A queue holding the pair of start nodes.
+    pub(crate) fn new(start1: ClassId, start2: ClassId) -> Self {
+        PairQueue {
+            queue: VecDeque::from([(start1, start2)]),
+            seen: HashSet::from([(start1, start2)]),
+        }
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<(ClassId, ClassId)> {
+        self.queue.pop_front()
+    }
+
+    pub(crate) fn push(&mut self, stats: &mut IntegrationStats, a: ClassId, b: ClassId) {
+        if self.seen.insert((a, b)) {
+            stats.pairs_enqueued += 1;
+            self.queue.push_back((a, b));
+        }
+    }
+
+    /// The one-sided pairs `(N₁, N₂ⱼ)`.
+    pub(crate) fn push_right(
+        &mut self,
+        stats: &mut IntegrationStats,
+        n1: ClassId,
+        kids2: &[ClassId],
+    ) {
+        for &k2 in kids2 {
+            self.push(stats, n1, k2);
+        }
+    }
+
+    /// The one-sided pairs `(N₁ᵢ, N₂)`.
+    pub(crate) fn push_left(
+        &mut self,
+        stats: &mut IntegrationStats,
+        kids1: &[ClassId],
+        n2: ClassId,
+    ) {
+        for &k1 in kids1 {
+            self.push(stats, k1, n2);
+        }
     }
 }
 

@@ -14,47 +14,55 @@
 //!   inherited by N₁'s subtree so all those pairs are skipped later
 //!   (line 7's label test);
 //! * on `∅` / `→`, neither one-sided family is expanded (observation 3);
+//!   assertions declared on the pairs this hides are warned about and
+//!   applied;
 //! * on `∩` or no assertion, both families are expanded (observation 4).
+//!
+//! Every step works on the dense class ids of [`SchemaGraph`] and asks the
+//! run's relation table, so a step costs O(1) amortised and allocates no
+//! class name unless it records a trace event, a warning or an
+//! integration operation.
 
 use crate::context::Integrator;
-use crate::graph::{Node, SchemaGraph};
+use crate::graph::{ClassId, SchemaGraph};
 use crate::integrated::SourceRef;
-use crate::naive::{relation_name, IntegrationRun};
+use crate::naive::{handle_pair, relation_name, IntegrationRun, PairQueue};
 use crate::trace::TraceEvent;
 use crate::Result;
 use assertions::{AssertionSet, PairRelation};
 use oo_model::Schema;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::HashSet;
 
-/// Per-side label state: own labels and inherited labels per node
-/// (the `<l₁·…·lₙ, l₁'·…·lₘ'>` pairs of §6.1).
-#[derive(Debug, Default)]
+/// Per-side label state, by node: own labels and inherited labels (the
+/// `<l₁·…·lₙ, l₁'·…·lₘ'>` pairs of §6.1), and the label of the last
+/// `path_labelling` walk that visited the node.
 struct LabelState {
-    labels: BTreeMap<Node, BTreeSet<u32>>,
-    inherited: BTreeMap<Node, BTreeSet<u32>>,
+    labels: Vec<Vec<u32>>,
+    inherited: Vec<Vec<u32>>,
+    visited: Vec<u32>,
 }
 
 impl LabelState {
-    fn labels(&self, n: &Node) -> &BTreeSet<u32> {
-        static EMPTY: BTreeSet<u32> = BTreeSet::new();
-        self.labels.get(n).unwrap_or(&EMPTY)
-    }
-
-    fn inherited(&self, n: &Node) -> &BTreeSet<u32> {
-        static EMPTY: BTreeSet<u32> = BTreeSet::new();
-        self.inherited.get(n).unwrap_or(&EMPTY)
-    }
-
-    fn add_label(&mut self, n: Node, l: u32) {
-        self.labels.entry(n).or_default().insert(l);
-    }
-
-    fn add_inherited(&mut self, n: Node, l: u32) {
-        self.inherited.entry(n).or_default().insert(l);
+    fn new(graph: &SchemaGraph<'_>) -> Self {
+        let nodes = graph.len() + 1;
+        LabelState {
+            labels: vec![Vec::new(); nodes],
+            inherited: vec![Vec::new(); nodes],
+            visited: vec![0; nodes],
+        }
     }
 }
 
-fn intersects(a: &BTreeSet<u32>, b: &BTreeSet<u32>) -> bool {
+/// Add `label` to a node's label set; false if it was there already.
+fn add_label(set: &mut Vec<u32>, label: u32) -> bool {
+    let new = !set.contains(&label);
+    if new {
+        set.push(label);
+    }
+    new
+}
+
+fn intersects(a: &[u32], b: &[u32]) -> bool {
     a.iter().any(|l| b.contains(l))
 }
 
@@ -123,6 +131,20 @@ pub fn schema_integration_with_options(
     assertions: &AssertionSet,
     options: IntegrationOptions,
 ) -> Result<IntegrationRun> {
+    integrate(s1, s2, assertions, options, warn_ignored_subtree)
+}
+
+/// Collects the warnings for the subtree pairs that removing one sibling
+/// pair prunes.
+type PruneWarnings = fn(&mut Integrator<'_>, &SchemaGraph<'_>, &SchemaGraph<'_>, ClassId, ClassId);
+
+fn integrate(
+    s1: &Schema,
+    s2: &Schema,
+    assertions: &AssertionSet,
+    options: IntegrationOptions,
+    prune_warnings: PruneWarnings,
+) -> Result<IntegrationRun> {
     let _span = obs::span!(
         "core.integrate",
         "core",
@@ -139,28 +161,24 @@ pub fn schema_integration_with_options(
         }
         false => (None, Vec::new()),
     };
-    let mut ctx = Integrator::new(s1, s2, assertions);
-    ctx.collect_trace = options.collect_trace;
     let g1 = SchemaGraph::new(s1);
     let g2 = SchemaGraph::new(s2);
-    let mut labels1 = LabelState::default();
-    let mut labels2 = LabelState::default();
+    let mut ctx = Integrator::new(&g1, &g2, assertions);
+    ctx.collect_trace = options.collect_trace;
+    let mut labels1 = LabelState::new(&g1);
+    let mut labels2 = LabelState::new(&g2);
     let mut next_label: u32 = 0;
 
-    let mut queue: VecDeque<(Node, Node)> = VecDeque::new();
-    let mut seen: BTreeSet<(Node, Node)> = BTreeSet::new();
-    let mut cancelled: BTreeSet<(Node, Node)> = BTreeSet::new();
-    let start = (g1.start(), g2.start());
-    seen.insert(start.clone());
-    queue.push_back(start);
+    let mut queue = PairQueue::new(g1.start(), g2.start());
+    let mut cancelled: HashSet<(ClassId, ClassId)> = HashSet::new();
 
     let pair_span = obs::span!("core.pair_checks", "core");
-    while let Some((n1, n2)) = queue.pop_front() {
-        if cancelled.contains(&(n1.clone(), n2.clone())) {
+    while let Some((n1, n2)) = queue.pop() {
+        if cancelled.contains(&(n1, n2)) {
             ctx.stats.pairs_removed_as_siblings += 1;
-            ctx.push_trace(TraceEvent::RemoveSiblingPair {
-                left: n1.display().to_string(),
-                right: n2.display().to_string(),
+            ctx.push_trace(|| TraceEvent::RemoveSiblingPair {
+                left: g1.display(n1).to_string(),
+                right: g2.display(n2).to_string(),
             });
             // §6.1 observation 3: an assertion declared between a removed
             // pair is "strange" — the paper informs the user and asks
@@ -168,31 +186,29 @@ pub fn schema_integration_with_options(
             // the directly declared assertion (the post-confirmation
             // behaviour); assertions buried deeper in the pruned subtree
             // are warned about but not applied.
-            if let (Some(c1), Some(c2)) = (n1.class_name(), n2.class_name()) {
-                let c1 = c1.to_string();
-                let c2 = c2.to_string();
-                let rel = ctx.relation(&c1, &c2);
+            if let (Some(c1), Some(c2)) = (g1.name(n1), g2.name(n2)) {
+                let rel = ctx.relation(n1, n2);
                 if !matches!(rel, PairRelation::None) {
                     ctx.warnings.push(format!(
                         "assertion between ({c1}, {c2}) was declared although the pair was                          pruned by an equivalence between relatives; applying it anyway"
                     ));
                     ctx.stats.pairs_checked += 1;
-                    crate::naive::handle_pair(&mut ctx, &c1, &c2, rel)?;
+                    handle_pair(&mut ctx, c1, c2, rel)?;
                 }
-                warn_ignored_subtree(&mut ctx, &g1, &g2, &n1, &n2);
+                prune_warnings(&mut ctx, &g1, &g2, n1, n2);
             }
             continue;
         }
-        let kids1 = g1.children(&n1);
-        let kids2 = g2.children(&n2);
+        let kids1 = g1.children(n1);
+        let kids2 = g2.children(n2);
         // Line 6: the diagonal pairs are always enqueued.
-        for k1 in &kids1 {
-            for k2 in &kids2 {
-                enqueue(&mut queue, &mut seen, &mut ctx, k1.clone(), k2.clone());
+        for &k1 in kids1 {
+            for &k2 in kids2 {
+                queue.push(&mut ctx.stats, k1, k2);
             }
         }
-        let (c1, c2) = match (n1.class_name(), n2.class_name()) {
-            (Some(c1), Some(c2)) => (c1.to_string(), c2.to_string()),
+        let (c1, c2) = match (g1.name(n1), g2.name(n2)) {
+            (Some(c1), Some(c2)) => (c1, c2),
             _ => {
                 // The virtual start pair: the diagonal expansion above
                 // already seeded every root pair; one-sided pairs through
@@ -201,165 +217,109 @@ pub fn schema_integration_with_options(
             }
         };
         // Line 7: the label test.
-        let skip_left = options.labels && intersects(labels1.inherited(&n1), labels2.labels(&n2));
-        let skip_right = options.labels && intersects(labels1.labels(&n1), labels2.inherited(&n2));
+        let skip_left = options.labels
+            && intersects(
+                &labels1.inherited[n1 as usize],
+                &labels2.labels[n2 as usize],
+            );
+        let skip_right = options.labels
+            && intersects(
+                &labels1.labels[n1 as usize],
+                &labels2.inherited[n2 as usize],
+            );
         if skip_left || skip_right {
             ctx.stats.pairs_skipped_by_labels += 1;
-            ctx.push_trace(TraceEvent::SkipPairLabels {
-                left: c1.clone(),
-                right: c2.clone(),
+            ctx.push_trace(|| TraceEvent::SkipPairLabels {
+                left: c1.to_string(),
+                right: c2.to_string(),
             });
             // Lines 34-35: continue expanding on the unlabelled side.
             if skip_left {
-                for k2 in &kids2 {
-                    enqueue(&mut queue, &mut seen, &mut ctx, n1.clone(), k2.clone());
-                }
+                queue.push_right(&mut ctx.stats, n1, kids2);
             } else {
-                for k1 in &kids1 {
-                    enqueue(&mut queue, &mut seen, &mut ctx, k1.clone(), n2.clone());
-                }
+                queue.push_left(&mut ctx.stats, kids1, n2);
             }
             continue;
         }
-        let rel = ctx.relation_counted(&c1, &c2, false);
-        ctx.push_trace(TraceEvent::PopPair {
-            left: c1.clone(),
-            right: c2.clone(),
+        let rel = ctx.relation_counted(n1, n2, false);
+        ctx.push_trace(|| TraceEvent::PopPair {
+            left: c1.to_string(),
+            right: c2.to_string(),
             relation: relation_name(&rel).to_string(),
         });
+        // Merge or record the principle's work; with labels on, an
+        // inclusion's link comes from `path_labelling` instead.
+        if !(options.labels && matches!(rel, PairRelation::Incl(_) | PairRelation::InclRev(_))) {
+            handle_pair(&mut ctx, c1, c2, rel)?;
+        }
         match rel {
-            PairRelation::Equiv(id) => {
-                ctx.merge_equivalent(id)?;
+            PairRelation::Equiv(_) => {
                 // Line 10: remove sibling pairs from S_b.
                 if options.sibling_removal {
-                    for m2 in g2.siblings(&n2) {
-                        cancelled.insert((n1.clone(), m2));
+                    for m2 in g2.siblings(n2) {
+                        cancelled.insert((n1, m2));
                     }
-                    for m1 in g1.siblings(&n1) {
-                        cancelled.insert((m1, n2.clone()));
+                    for m1 in g1.siblings(n1) {
+                        cancelled.insert((m1, n2));
                     }
                 }
             }
-            PairRelation::Incl(_) if !options.labels => {
-                // Ablation: no path_labelling — record the asserted link
-                // (transitive reduction cleans up) and expand as default.
-                ctx.note_inclusion(
-                    SourceRef::new(ctx.s1.name.as_str(), c1.as_str()),
-                    SourceRef::new(ctx.s2.name.as_str(), c2.as_str()),
-                );
-                for k2 in &kids2 {
-                    enqueue(&mut queue, &mut seen, &mut ctx, n1.clone(), k2.clone());
-                }
-                for k1 in &kids1 {
-                    enqueue(&mut queue, &mut seen, &mut ctx, k1.clone(), n2.clone());
-                }
-            }
-            PairRelation::InclRev(_) if !options.labels => {
-                ctx.note_inclusion(
-                    SourceRef::new(ctx.s2.name.as_str(), c2.as_str()),
-                    SourceRef::new(ctx.s1.name.as_str(), c1.as_str()),
-                );
-                for k2 in &kids2 {
-                    enqueue(&mut queue, &mut seen, &mut ctx, n1.clone(), k2.clone());
-                }
-                for k1 in &kids1 {
-                    enqueue(&mut queue, &mut seen, &mut ctx, k1.clone(), n2.clone());
-                }
-            }
-            PairRelation::Incl(_) => {
+            PairRelation::Incl(_) if options.labels => {
                 // Lines 11-17: depth-first labelling of N2's subgraph.
                 next_label += 1;
                 ctx.stats.labels_created += 1;
-                ctx.push_trace(TraceEvent::DfsStart {
-                    n1: c1.clone(),
-                    root: c2.clone(),
+                ctx.push_trace(|| TraceEvent::DfsStart {
+                    n1: c1.to_string(),
+                    root: c2.to_string(),
                     label: next_label,
                 });
-                path_labelling(
-                    &mut ctx,
-                    &g2,
-                    Side::SubInS1,
-                    &n1,
-                    &n2,
-                    next_label,
-                    &mut labels2,
-                )?;
-                inherit(&mut ctx, &g1, &n1, next_label, &mut labels1);
-                for k2 in &kids2 {
-                    enqueue(&mut queue, &mut seen, &mut ctx, n1.clone(), k2.clone());
-                }
+                let walk = Walk {
+                    graph: &g2,
+                    side: Side::SubInS1,
+                    sub: n1,
+                    sub_name: c1,
+                    label: next_label,
+                };
+                path_labelling(&mut ctx, &walk, n2, &mut labels2)?;
+                inherit(&mut ctx, &g1, n1, next_label, &mut labels1);
+                queue.push_right(&mut ctx.stats, n1, kids2);
             }
-            PairRelation::InclRev(_) => {
+            PairRelation::InclRev(_) if options.labels => {
                 // Lines 18-24: symmetric case, N2 ⊆ N1.
                 next_label += 1;
                 ctx.stats.labels_created += 1;
-                ctx.push_trace(TraceEvent::DfsStart {
-                    n1: c2.clone(),
-                    root: c1.clone(),
+                ctx.push_trace(|| TraceEvent::DfsStart {
+                    n1: c2.to_string(),
+                    root: c1.to_string(),
                     label: next_label,
                 });
-                path_labelling(
-                    &mut ctx,
-                    &g1,
-                    Side::SubInS2,
-                    &n2,
-                    &n1,
-                    next_label,
-                    &mut labels1,
-                )?;
-                inherit(&mut ctx, &g2, &n2, next_label, &mut labels2);
-                for k1 in &kids1 {
-                    enqueue(&mut queue, &mut seen, &mut ctx, k1.clone(), n2.clone());
-                }
+                let walk = Walk {
+                    graph: &g1,
+                    side: Side::SubInS2,
+                    sub: n2,
+                    sub_name: c2,
+                    label: next_label,
+                };
+                path_labelling(&mut ctx, &walk, n1, &mut labels1)?;
+                inherit(&mut ctx, &g2, n2, next_label, &mut labels2);
+                queue.push_left(&mut ctx.stats, kids1, n2);
             }
-            PairRelation::Disjoint(id) => {
-                // Lines 25, observation 3: rules only, no one-sided pairs.
-                ctx.note_disjoint(id);
-                if !options.skip_disjoint_expansion {
-                    for k2 in &kids2 {
-                        enqueue(&mut queue, &mut seen, &mut ctx, n1.clone(), k2.clone());
-                    }
-                    for k1 in &kids1 {
-                        enqueue(&mut queue, &mut seen, &mut ctx, k1.clone(), n2.clone());
-                    }
-                }
+            PairRelation::Disjoint(_) if !options.skip_disjoint_expansion => {
+                queue.push_right(&mut ctx.stats, n1, kids2);
+                queue.push_left(&mut ctx.stats, kids1, n2);
             }
-            PairRelation::Derivation(_) => {
-                for id in ctx.assertions.derivations_between(
-                    ctx.s1.name.as_str(),
-                    &c1,
-                    ctx.s2.name.as_str(),
-                    &c2,
-                ) {
-                    ctx.note_derivation(id);
-                }
-                for id in ctx.assertions.derivations_between(
-                    ctx.s2.name.as_str(),
-                    &c2,
-                    ctx.s1.name.as_str(),
-                    &c1,
-                ) {
-                    ctx.note_derivation(id);
-                }
+            PairRelation::Disjoint(_) | PairRelation::Derivation(_) => {
+                // Line 25, observation 3: rules only, no one-sided pairs.
+                apply_hidden_assertions(&mut ctx, &g1, &g2, (n1, n2), rel)?;
             }
-            PairRelation::Intersect(id) => {
-                // Lines 29-31, observation 4: both families expanded.
-                ctx.note_intersection(id);
-                for k2 in &kids2 {
-                    enqueue(&mut queue, &mut seen, &mut ctx, n1.clone(), k2.clone());
-                }
-                for k1 in &kids1 {
-                    enqueue(&mut queue, &mut seen, &mut ctx, k1.clone(), n2.clone());
-                }
-            }
-            PairRelation::None => {
-                // Line 33 (default).
-                for k2 in &kids2 {
-                    enqueue(&mut queue, &mut seen, &mut ctx, n1.clone(), k2.clone());
-                }
-                for k1 in &kids1 {
-                    enqueue(&mut queue, &mut seen, &mut ctx, k1.clone(), n2.clone());
-                }
+            PairRelation::Incl(_)
+            | PairRelation::InclRev(_)
+            | PairRelation::Intersect(_)
+            | PairRelation::None => {
+                // Lines 29-31 and 33, observation 4 (and the inclusion
+                // ablation without labels): both families expanded.
+                queue.push_right(&mut ctx.stats, n1, kids2);
+                queue.push_left(&mut ctx.stats, kids1, n2);
             }
         }
     }
@@ -379,57 +339,93 @@ pub fn schema_integration_with_options(
     })
 }
 
+/// The warning for a declared pair that a removed sibling pair prunes.
+fn pruned_pair_warning(ca: &str, cb: &str) -> String {
+    format!(
+        "assertion between ({ca}, {cb}) ignored: the pair was pruned by an                          equivalence between relatives; please confirm the assertion is intended"
+    )
+}
+
 /// Collect "strange assertion" warnings for a removed sibling pair and the
-/// subtree pairs its removal prunes.
+/// subtree pairs its removal prunes: each declared pair of `n1`'s subtree
+/// with `n2`'s, in breadth-first order of the left subtree, then of the
+/// right (under multiple inheritance once per path, as the unfoldings
+/// repeat a class). The table rows of the smaller subtree are read, and
+/// each partner is tested against the other subtree's interval.
 fn warn_ignored_subtree(
     ctx: &mut Integrator<'_>,
     g1: &SchemaGraph<'_>,
     g2: &SchemaGraph<'_>,
-    n1: &Node,
-    n2: &Node,
+    n1: ClassId,
+    n2: ClassId,
 ) {
-    let mut left: Vec<Node> = vec![n1.clone()];
-    let mut i = 0;
-    while i < left.len() {
-        let more = g1.children(&left[i]);
-        left.extend(more);
-        i += 1;
+    let (left, right) = (g1.subtree(n1), g2.subtree(n2));
+    let mut hits: Vec<(ClassId, ClassId)> = Vec::new();
+    if left.len() <= right.len() {
+        for &a in left.iter() {
+            let partners = ctx.table.left_partners(a).iter();
+            hits.extend(partners.filter(|p| g2.reaches(n2, p.0)).map(|p| (a, p.0)));
+        }
+    } else {
+        for &b in right.iter() {
+            let partners = ctx.table.right_partners(b).iter();
+            hits.extend(partners.filter(|p| g1.reaches(n1, p.0)).map(|p| (p.0, b)));
+        }
     }
-    let mut right: Vec<Node> = vec![n2.clone()];
-    let mut i = 0;
-    while i < right.len() {
-        let more = g2.children(&right[i]);
-        right.extend(more);
-        i += 1;
+    ctx.stats.relation_lookups += left.len().min(right.len()) as u64;
+    hits.retain(|&hit| hit != (n1, n2)); // the direct pair was handled above
+    if hits.is_empty() {
+        return;
     }
-    for a in &left {
-        for b in &right {
-            if a == n1 && b == n2 {
-                continue; // the direct pair was handled above
-            }
-            if let (Some(ca), Some(cb)) = (a.class_name(), b.class_name()) {
-                if !matches!(ctx.relation(ca, cb), assertions::PairRelation::None) {
-                    ctx.warnings.push(format!(
-                        "assertion between ({ca}, {cb}) ignored: the pair was pruned by an                          equivalence between relatives; please confirm the assertion is intended"
-                    ));
-                }
+    hits.sort_unstable();
+    let right_order = g2.unfolding(n2);
+    for a in g1.unfolding(n1) {
+        let lo = hits.partition_point(|&(x, _)| x < a);
+        let hi = hits.partition_point(|&(x, _)| x <= a);
+        if lo == hi {
+            continue;
+        }
+        for &b in &right_order {
+            if hits[lo..hi].binary_search(&(a, b)).is_ok() {
+                let warning = pruned_pair_warning(g1.display(a), g2.display(b));
+                ctx.warnings.push(warning);
             }
         }
     }
 }
 
-fn enqueue(
-    queue: &mut VecDeque<(Node, Node)>,
-    seen: &mut BTreeSet<(Node, Node)>,
+/// Observation 3 expands neither one-sided family under `N₁ ∅ N₂` or
+/// `N₁ → N₂`, so the traversal never reaches a pair of a class below N₁
+/// with N₂, or of N₁ with a class below N₂. An assertion declared on such
+/// a pair is "strange" (§6.1): warn, then apply it as the naive algorithm
+/// would, in name order of the left classes, then of the right ones.
+fn apply_hidden_assertions(
     ctx: &mut Integrator<'_>,
-    a: Node,
-    b: Node,
-) {
-    let pair = (a, b);
-    if seen.insert(pair.clone()) {
-        ctx.stats.pairs_enqueued += 1;
-        queue.push_back(pair);
+    g1: &SchemaGraph<'_>,
+    g2: &SchemaGraph<'_>,
+    (n1, n2): (ClassId, ClassId),
+    rel: PairRelation,
+) -> Result<()> {
+    let below_left = ctx.table.right_partners(n2).iter().map(|p| (p.0, n2));
+    let below_right = ctx.table.left_partners(n1).iter().map(|p| (n1, p.0));
+    let hidden: Vec<(ClassId, ClassId)> = below_left
+        .filter(|&(a, _)| a != n1 && g1.reaches(n1, a))
+        .chain(below_right.filter(|&(_, b)| b != n2 && g2.reaches(n2, b)))
+        .collect();
+    ctx.stats.relation_lookups += 2;
+    for (a, b) in hidden {
+        let (ca, cb) = (g1.display(a), g2.display(b));
+        let hidden_rel = ctx.relation_counted(a, b, false);
+        ctx.warnings.push(format!(
+            "assertion between ({ca}, {cb}) was declared although the traversal does not \
+             reach the pair below the {} pair ({}, {}); applying it anyway",
+            relation_name(&rel),
+            g1.display(n1),
+            g2.display(n2)
+        ));
+        handle_pair(ctx, ca, cb, hidden_rel)?;
     }
+    Ok(())
 }
 
 /// Which schema holds the ⊆-side class (N₁ of `path_labelling`); the walk
@@ -442,16 +438,53 @@ enum Side {
     SubInS2,
 }
 
-/// The `N₁ θ V` consultation, normalised so that `Incl` always means
-/// "sub ⊆ v".
-fn rel_for(ctx: &mut Integrator<'_>, side: Side, sub: &str, v: &str) -> PairRelation {
-    match side {
-        Side::SubInS1 => ctx.relation_counted(sub, v, true),
-        Side::SubInS2 => match ctx.relation_counted(v, sub, true) {
-            PairRelation::Incl(id) => PairRelation::InclRev(id),
-            PairRelation::InclRev(id) => PairRelation::Incl(id),
-            other => other,
-        },
+/// One `path_labelling` walk: the ⊆-side class, the graph walked (the
+/// other schema's) and the walk's label.
+struct Walk<'g, 'a> {
+    graph: &'g SchemaGraph<'a>,
+    side: Side,
+    sub: ClassId,
+    sub_name: &'a str,
+    label: u32,
+}
+
+impl Walk<'_, '_> {
+    /// The `N₁ θ V` consultation, normalised so that `Incl` always means
+    /// "sub ⊆ v".
+    fn relation(&self, ctx: &mut Integrator<'_>, v: ClassId) -> PairRelation {
+        match self.side {
+            Side::SubInS1 => ctx.relation_counted(self.sub, v, true),
+            Side::SubInS2 => match ctx.relation_counted(v, self.sub, true) {
+                PairRelation::Incl(id) => PairRelation::InclRev(id),
+                PairRelation::InclRev(id) => PairRelation::Incl(id),
+                other => other,
+            },
+        }
+    }
+
+    /// The (S1, S2) class names of the pair `(sub, v)`.
+    fn pair<'n>(&'n self, v: &'n str) -> (&'n str, &'n str) {
+        match self.side {
+            Side::SubInS1 => (self.sub_name, v),
+            Side::SubInS2 => (v, self.sub_name),
+        }
+    }
+
+    /// Record the pending `is_a(IS(sub), IS(target))` request with the
+    /// correct schema sides.
+    fn link(&self, ctx: &mut Integrator<'_>, target: &str) {
+        let (sub_schema, sup_schema) = match self.side {
+            Side::SubInS1 => (ctx.s1, ctx.s2),
+            Side::SubInS2 => (ctx.s2, ctx.s1),
+        };
+        ctx.note_inclusion(
+            SourceRef::new(sub_schema.name.as_str(), self.sub_name),
+            SourceRef::new(sup_schema.name.as_str(), target),
+        );
+        ctx.push_trace(|| TraceEvent::IsaInserted {
+            sub: self.sub_name.to_string(),
+            sup: target.to_string(),
+        });
     }
 }
 
@@ -459,220 +492,105 @@ fn rel_for(ctx: &mut Integrator<'_>, side: Side, sub: &str, v: &str) -> PairRela
 /// rooted at `root` (in the super-side schema), labelling the nodes `V`
 /// with `sub ⊆ V` or `sub ≡ V`, merging on equivalence, and generating the
 /// single non-redundant is-a link of Fig. 8 where a path ends.
-#[allow(clippy::too_many_arguments)]
 fn path_labelling(
     ctx: &mut Integrator<'_>,
-    graph: &SchemaGraph<'_>,
-    side: Side,
-    sub_node: &Node,
-    root: &Node,
-    label: u32,
+    walk: &Walk<'_, '_>,
+    root: ClassId,
     state: &mut LabelState,
 ) -> Result<()> {
-    let sub = sub_node.class_name().expect("sub is a class").to_string();
-    let _span = obs::span!("core.path_labelling", "core", "sub={sub} label={label}");
-    let mut visited: BTreeSet<Node> = BTreeSet::new();
-    visit(
-        ctx,
-        graph,
-        side,
-        &sub,
-        root,
-        None,
-        label,
-        state,
-        &mut visited,
-    )
+    let _span = obs::span!(
+        "core.path_labelling",
+        "core",
+        "sub={} label={}",
+        walk.sub_name,
+        walk.label
+    );
+    visit(ctx, walk, root, None, state)
 }
 
-/// Record the pending `is_a(IS(sub), IS(target))` request with the correct
-/// schema sides.
-fn note_link(ctx: &mut Integrator<'_>, side: Side, sub: &str, target: &str) {
-    let (sub_ref, sup_ref) = match side {
-        Side::SubInS1 => (
-            SourceRef::new(ctx.s1.name.as_str(), sub),
-            SourceRef::new(ctx.s2.name.as_str(), target),
-        ),
-        Side::SubInS2 => (
-            SourceRef::new(ctx.s2.name.as_str(), sub),
-            SourceRef::new(ctx.s1.name.as_str(), target),
-        ),
-    };
-    ctx.note_inclusion(sub_ref, sup_ref);
-}
-
-#[allow(clippy::too_many_arguments)]
 fn visit(
     ctx: &mut Integrator<'_>,
-    graph: &SchemaGraph<'_>,
-    side: Side,
-    sub: &str,
-    v: &Node,
+    walk: &Walk<'_, '_>,
+    v: ClassId,
     nearest_incl: Option<&str>,
-    label: u32,
     state: &mut LabelState,
-    visited: &mut BTreeSet<Node>,
 ) -> Result<()> {
-    if !visited.insert(v.clone()) {
+    if state.visited[v as usize] == walk.label {
         return Ok(());
     }
-    let vc = match v.class_name() {
-        Some(c) => c.to_string(),
-        None => return Ok(()),
+    state.visited[v as usize] = walk.label;
+    let Some(vc) = walk.graph.name(v) else {
+        return Ok(());
     };
-    let rel = rel_for(ctx, side, sub, &vc);
-    ctx.push_trace(TraceEvent::DfsPop {
-        node: vc.clone(),
+    let rel = walk.relation(ctx, v);
+    ctx.push_trace(|| TraceEvent::DfsPop {
+        node: vc.to_string(),
         relation: relation_name(&rel).to_string(),
     });
     match rel {
         PairRelation::Equiv(id) => {
             // Lines 10-12: label, merge, stop searching this path.
-            state.add_label(v.clone(), label);
+            add_label(&mut state.labels[v as usize], walk.label);
             ctx.stats.nodes_labelled += 1;
-            ctx.push_trace(TraceEvent::Labelled { node: vc, label });
+            ctx.push_trace(|| TraceEvent::Labelled {
+                node: vc.to_string(),
+                label: walk.label,
+            });
             ctx.merge_equivalent(id)?;
         }
         PairRelation::Incl(_) => {
             // Lines 6-9: label and go deeper.
-            state.add_label(v.clone(), label);
+            add_label(&mut state.labels[v as usize], walk.label);
             ctx.stats.nodes_labelled += 1;
-            ctx.push_trace(TraceEvent::Labelled {
-                node: vc.clone(),
-                label,
+            ctx.push_trace(|| TraceEvent::Labelled {
+                node: vc.to_string(),
+                label: walk.label,
             });
-            let kids = graph.children(v);
+            let kids = walk.graph.children(v);
             if kids.is_empty() {
                 // Deepest ⊆ node on this path: the Fig. 8 link target.
-                note_link(ctx, side, sub, &vc);
-                ctx.push_trace(TraceEvent::IsaInserted {
-                    sub: sub.to_string(),
-                    sup: vc,
-                });
-            } else {
-                let mut any_deeper = false;
-                for k in kids {
-                    let before = ctx.stats.dfs_checks;
-                    visit(ctx, graph, side, sub, &k, Some(&vc), label, state, visited)?;
-                    let _ = before;
-                    // A child path that labelled or linked deeper handles
-                    // its own target; a child that terminated immediately
-                    // recorded the link at this node via `nearest_incl`.
-                    any_deeper = true;
-                }
-                let _ = any_deeper;
+                walk.link(ctx, vc);
+            }
+            // A child path that labelled or linked deeper handles its own
+            // target; a child that terminated immediately records the link
+            // at this node via `nearest_incl`.
+            for &k in kids {
+                visit(ctx, walk, k, Some(vc), state)?;
             }
         }
         PairRelation::InclRev(_) | PairRelation::Disjoint(_) | PairRelation::Derivation(_) => {
             // Lines 13-18: θ ∈ {→, ∅, ⊇}: the path ends here; backtrack to
             // the first non-* ancestor and insert the is-a link there.
             if let Some(target) = nearest_incl {
-                note_link(ctx, side, sub, target);
-                ctx.push_trace(TraceEvent::IsaInserted {
-                    sub: sub.to_string(),
-                    sup: target.to_string(),
-                });
+                walk.link(ctx, target);
             }
             // The rule-generating assertions are still recorded (the
             // breadth-first phase may never check this pair again).
-            match rel {
-                PairRelation::Disjoint(id) => ctx.note_disjoint(id),
-                PairRelation::Derivation(_) => {
-                    let (s1c, s2c) = match side {
-                        Side::SubInS1 => (sub, vc.as_str()),
-                        Side::SubInS2 => (vc.as_str(), sub),
-                    };
-                    for id in ctx.assertions.derivations_between(
-                        ctx.s1.name.as_str(),
-                        s1c,
-                        ctx.s2.name.as_str(),
-                        s2c,
-                    ) {
-                        ctx.note_derivation(id);
-                    }
-                    for id in ctx.assertions.derivations_between(
-                        ctx.s2.name.as_str(),
-                        s2c,
-                        ctx.s1.name.as_str(),
-                        s1c,
-                    ) {
-                        ctx.note_derivation(id);
-                    }
-                }
-                _ => {}
+            if !matches!(rel, PairRelation::InclRev(_)) {
+                let (c1, c2) = walk.pair(vc);
+                handle_pair(ctx, c1, c2, rel)?;
             }
         }
-        PairRelation::Intersect(id) => {
-            // Not in the paper's line-13 set: treated like the default,
-            // but the intersection rules are recorded.
-            ctx.note_intersection(id);
-            ctx.push_trace(TraceEvent::Starred { node: vc.clone() });
-            descend_or_link(
-                ctx,
-                graph,
-                side,
-                sub,
-                v,
-                nearest_incl,
-                label,
-                state,
-                visited,
-            )?;
-        }
-        PairRelation::None => {
+        PairRelation::Intersect(_) | PairRelation::None => {
             // Lines 19-25 (default): mark with * and go deeper; at a leaf,
-            // backtrack to the first non-* node and link there.
-            ctx.push_trace(TraceEvent::Starred { node: vc.clone() });
-            descend_or_link(
-                ctx,
-                graph,
-                side,
-                sub,
-                v,
-                nearest_incl,
-                label,
-                state,
-                visited,
-            )?;
-        }
-    }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn descend_or_link(
-    ctx: &mut Integrator<'_>,
-    graph: &SchemaGraph<'_>,
-    side: Side,
-    sub: &str,
-    v: &Node,
-    nearest_incl: Option<&str>,
-    label: u32,
-    state: &mut LabelState,
-    visited: &mut BTreeSet<Node>,
-) -> Result<()> {
-    let kids = graph.children(v);
-    if kids.is_empty() {
-        if let Some(target) = nearest_incl {
-            note_link(ctx, side, sub, target);
-            ctx.push_trace(TraceEvent::IsaInserted {
-                sub: sub.to_string(),
-                sup: target.to_string(),
+            // backtrack to the first non-* node and link there. `∩` is
+            // not in the paper's line-13 set, so it is treated like the
+            // default, but its rules are recorded.
+            if let PairRelation::Intersect(id) = rel {
+                ctx.note_intersection(id);
+            }
+            ctx.push_trace(|| TraceEvent::Starred {
+                node: vc.to_string(),
             });
-        }
-    } else {
-        for k in kids {
-            visit(
-                ctx,
-                graph,
-                side,
-                sub,
-                &k,
-                nearest_incl,
-                label,
-                state,
-                visited,
-            )?;
+            let kids = walk.graph.children(v);
+            if kids.is_empty() {
+                if let Some(target) = nearest_incl {
+                    walk.link(ctx, target);
+                }
+            }
+            for &k in kids {
+                visit(ctx, walk, k, nearest_incl, state)?;
+            }
         }
     }
     Ok(())
@@ -684,23 +602,19 @@ fn descend_or_link(
 fn inherit(
     ctx: &mut Integrator<'_>,
     graph: &SchemaGraph<'_>,
-    node: &Node,
+    node: ClassId,
     label: u32,
     state: &mut LabelState,
 ) {
-    ctx.push_trace(TraceEvent::InheritedLabels {
-        root: node.display().to_string(),
+    ctx.push_trace(|| TraceEvent::InheritedLabels {
+        root: graph.display(node).to_string(),
         label,
     });
-    let mut queue = vec![node.clone()];
-    let mut seen = BTreeSet::new();
-    while let Some(n) = queue.pop() {
-        if !seen.insert(n.clone()) {
-            continue;
-        }
-        state.add_inherited(n.clone(), label);
-        for k in graph.children(&n) {
-            queue.push(k);
+    let mut stack = vec![node];
+    while let Some(n) = stack.pop() {
+        // The label is fresh, so a node that has it was reached already.
+        if add_label(&mut state.inherited[n as usize], label) {
+            stack.extend_from_slice(graph.children(n));
         }
     }
 }
@@ -711,6 +625,7 @@ mod tests {
     use crate::naive::naive_schema_integration;
     use assertions::{ClassAssertion, ClassOp};
     use oo_model::SchemaBuilder;
+    use std::collections::BTreeSet;
 
     /// The Fig. 18 schemas of Appendix A / Example 12.
     pub(crate) fn fig_18() -> (Schema, Schema, AssertionSet) {
@@ -980,5 +895,249 @@ mod ablation_tests {
         assert!(full.stats.total_checks() <= none.stats.total_checks());
         let naive = naive_schema_integration(&s1, &s2, &aset).unwrap();
         assert!(none.stats.total_checks() <= naive.stats.pairs_checked);
+    }
+}
+
+#[cfg(test)]
+mod indexed_traversal_tests {
+    use super::*;
+    use crate::naive::naive_schema_integration;
+    use crate::stats::IntegrationStats;
+    use assertions::{ClassAssertion, ClassOp};
+    use oo_model::{ClassName, SchemaBuilder};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The prune-warning walk as it was before the relation table: the
+    /// cross product of both pruned subtrees (breadth-first, once per path
+    /// under multiple inheritance), one string-keyed lookup per pair.
+    fn cross_product_warnings(
+        ctx: &mut Integrator<'_>,
+        g1: &SchemaGraph<'_>,
+        g2: &SchemaGraph<'_>,
+        n1: ClassId,
+        n2: ClassId,
+    ) {
+        fn unfold(schema: &Schema, top: &str) -> Vec<ClassName> {
+            let mut out = vec![ClassName::new(top)];
+            let mut i = 0;
+            while i < out.len() {
+                let mut kids: Vec<ClassName> =
+                    schema.children(&out[i]).into_iter().cloned().collect();
+                kids.sort();
+                out.extend(kids);
+                i += 1;
+            }
+            out
+        }
+        let (s1, s2) = (ctx.s1, ctx.s2);
+        let (top1, top2) = (g1.display(n1), g2.display(n2));
+        for a in unfold(s1, top1) {
+            for b in unfold(s2, top2) {
+                if a.as_str() == top1 && b.as_str() == top2 {
+                    continue;
+                }
+                ctx.stats.relation_lookups += 1;
+                let rel = ctx.assertions.relation(
+                    s1.name.as_str(),
+                    a.as_str(),
+                    s2.name.as_str(),
+                    b.as_str(),
+                );
+                if !matches!(rel, PairRelation::None) {
+                    ctx.warnings
+                        .push(pruned_pair_warning(a.as_str(), b.as_str()));
+                }
+            }
+        }
+    }
+
+    /// A schema of `n` classes `{prefix}0..`: class i ≥ 1 hangs below
+    /// `parents[i - 1] % i`, plus the extra is-a links `extra` (pairs
+    /// reduced to "later below earlier", so the schema stays acyclic).
+    fn schema(name: &str, prefix: &str, parents: &[usize], extra: &[(usize, usize)]) -> Schema {
+        let n = parents.len() + 1;
+        let mut b = SchemaBuilder::new(name);
+        for i in 0..n {
+            b = b.empty_class(format!("{prefix}{i}"));
+        }
+        for (i, p) in parents.iter().enumerate() {
+            b = b.isa(
+                format!("{prefix}{}", i + 1),
+                format!("{prefix}{}", p % (i + 1)),
+            );
+        }
+        for &(x, y) in extra {
+            let (sub, sup) = (x % n, y % n);
+            if sub > sup {
+                b = b.isa(format!("{prefix}{sub}"), format!("{prefix}{sup}"));
+            }
+        }
+        b.build().expect("generated schemas are acyclic")
+    }
+
+    /// Assertions `a{i} θ b{targets[i]}` for the operator codes `ops`
+    /// (0 none, 1 ≡, 2 ⊆, 3 ∩, 4 ∅, 5 →); conflicting draws are dropped.
+    fn assertions(n1: usize, n2: usize, ops: &[u8], targets: &[usize]) -> AssertionSet {
+        let mut set = AssertionSet::new();
+        for (i, (&op, &t)) in ops.iter().zip(targets).enumerate().take(n1) {
+            let (a, b) = (format!("a{i}"), format!("b{}", t % n2));
+            let op = match op {
+                1 => ClassOp::Equiv,
+                2 => ClassOp::Incl,
+                3 => ClassOp::Intersect,
+                4 => ClassOp::Disjoint,
+                5 => {
+                    let _ = set.add(ClassAssertion::derivation("S1", [a], "S2", b));
+                    continue;
+                }
+                _ => continue,
+            };
+            let _ = set.add(ClassAssertion::simple("S1", a, op, "S2", b));
+        }
+        set
+    }
+
+    fn run_with(
+        s1: &Schema,
+        s2: &Schema,
+        set: &AssertionSet,
+        prune_warnings: PruneWarnings,
+    ) -> IntegrationRun {
+        let options = IntegrationOptions {
+            analysis_gate: false,
+            ..IntegrationOptions::default()
+        };
+        integrate(s1, s2, set, options, prune_warnings).unwrap()
+    }
+
+    fn parents(max_n: usize) -> impl Strategy<Value = Vec<usize>> {
+        proptest::collection::vec(0usize..max_n, 0..max_n)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The indexed prune-warning walk emits the cross product's
+        /// warnings, same strings in the same order, and leaves every
+        /// other counter as the cross product does — on mirrored and
+        /// unrelated tree pairs, with and without multiple inheritance.
+        #[test]
+        fn indexed_prune_warnings_match_the_cross_product(
+            p1 in parents(10),
+            p2 in parents(10),
+            mirrored in 0u8..2,
+            extra1 in proptest::collection::vec((0usize..10, 0usize..10), 0..3),
+            extra2 in proptest::collection::vec((0usize..10, 0usize..10), 0..3),
+            ops in proptest::collection::vec(0u8..6, 10),
+            targets in proptest::collection::vec(0usize..10, 10),
+        ) {
+            let s1 = schema("S1", "a", &p1, &extra1);
+            let s2 = match mirrored {
+                1 => schema("S2", "b", &p1, &extra1),
+                _ => schema("S2", "b", &p2, &extra2),
+            };
+            let set = assertions(s1.len(), s2.len(), &ops, &targets);
+            let indexed = run_with(&s1, &s2, &set, warn_ignored_subtree);
+            let oracle = run_with(&s1, &s2, &set, cross_product_warnings);
+            prop_assert_eq!(&indexed.warnings, &oracle.warnings);
+            let without_lookups = |s: IntegrationStats| IntegrationStats {
+                relation_lookups: 0,
+                ..s
+            };
+            prop_assert_eq!(without_lookups(indexed.stats), without_lookups(oracle.stats));
+            prop_assert_eq!(indexed.trace, oracle.trace);
+        }
+    }
+
+    /// §6.1's mirrored trees of `n` classes under all-≡ assertions, with
+    /// the tree shape of the §6.3 model (each class hangs below a random
+    /// earlier one).
+    fn all_equivalent(n: usize, seed: u64) -> (Schema, Schema, AssertionSet) {
+        let mut state = seed;
+        let parents: Vec<usize> = (1..n)
+            .map(|i| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let lo = i % 3;
+                lo.min(i - 1) + (state % (i - lo.min(i - 1)) as u64) as usize
+            })
+            .collect();
+        let s1 = schema("S1", "a", &parents, &[]);
+        let s2 = schema("S2", "b", &parents, &[]);
+        let set = AssertionSet::build((0..n).map(|i| {
+            ClassAssertion::simple("S1", format!("a{i}"), ClassOp::Equiv, "S2", format!("b{i}"))
+        }))
+        .unwrap();
+        (s1, s2, set)
+    }
+
+    /// The traversal's relation lookups, prune warnings included, grow
+    /// with n as its pair checks do: at most 6× from n = 128 to n = 512.
+    /// The cross-product walk they replace grows quadratically and fails
+    /// that bound (checked from n = 32 to n = 128, where it is cheap).
+    #[test]
+    fn relation_lookups_grow_linearly_on_all_equivalent_trees() {
+        let lookups = |n: usize, prune_warnings: PruneWarnings| -> u64 {
+            (1..=4u64)
+                .map(|seed| {
+                    let (s1, s2, set) = all_equivalent(n, seed * 0x9e37_79b9);
+                    let run = run_with(&s1, &s2, &set, prune_warnings);
+                    assert_eq!(run.stats.pairs_checked, n as u64);
+                    run.stats.relation_lookups
+                })
+                .sum()
+        };
+        let (small, large) = (
+            lookups(128, warn_ignored_subtree),
+            lookups(512, warn_ignored_subtree),
+        );
+        assert!(
+            large <= 6 * small,
+            "relation lookups grew {small} → {large} from n = 128 to 512"
+        );
+        let (old_small, old_large) = (
+            lookups(32, cross_product_warnings),
+            lookups(128, cross_product_warnings),
+        );
+        assert!(
+            old_large > 6 * old_small,
+            "the cross product grew only {old_small} → {old_large}"
+        );
+    }
+
+    /// Two mirrored chains `a0←a1←a2` and `b0←b1←b2` with `a0 ≡ b0`,
+    /// `a1 ∅ b1` and `a2 ⊆ b1`: observation 3 expands no one-sided pair
+    /// under `(a1, b1)`, so `(a2, b1)` is never popped. The declared
+    /// inclusion is still applied, as the naive algorithm applies it, and
+    /// the user is warned.
+    #[test]
+    fn inclusion_hidden_below_a_disjoint_pair_is_applied() {
+        let s1 = schema("S1", "a", &[0, 1], &[]);
+        let s2 = schema("S2", "b", &[0, 1], &[]);
+        let set = AssertionSet::build([
+            ClassAssertion::simple("S1", "a0", ClassOp::Equiv, "S2", "b0"),
+            ClassAssertion::simple("S1", "a1", ClassOp::Disjoint, "S2", "b1"),
+            ClassAssertion::simple("S1", "a2", ClassOp::Incl, "S2", "b1"),
+        ])
+        .unwrap();
+        let naive = naive_schema_integration(&s1, &s2, &set).unwrap();
+        let optimized = schema_integration(&s1, &s2, &set).unwrap();
+        assert!(naive.output.has_isa("a2", "b1"));
+        assert!(optimized.output.has_isa("a2", "b1"));
+        let links = |run: &IntegrationRun| -> BTreeSet<(String, String)> {
+            run.output.isa_links().cloned().collect()
+        };
+        assert_eq!(links(&naive), links(&optimized));
+        assert_eq!(
+            optimized.warnings,
+            [
+                "assertion between (a2, b1) was declared although the traversal does not \
+              reach the pair below the ∅ pair (a1, b1); applying it anyway"
+            ]
+        );
+        // The hidden pair is one more check, and still fewer than naive's.
+        assert!(optimized.stats.total_checks() < naive.stats.pairs_checked);
     }
 }

@@ -337,7 +337,7 @@ pub fn apply(ctx: &mut Integrator<'_>, assertion_id: usize) -> Result<()> {
                 .map(str::to_string)
                 .unwrap_or_else(|| format!("IS({schema}•{class})"))
         });
-        ctx.push_trace(TraceEvent::RuleGenerated {
+        ctx.push_trace(|| TraceEvent::RuleGenerated {
             rule: rule.to_string(),
         });
         ctx.output.add_rule(rule);
@@ -365,6 +365,7 @@ pub fn fully_resolved(rule: &Rule) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::SchemaGraph;
     use assertions::{AssertionSet, AttrCorr, ClassAssertion, SPath, ValueCorr, WithPred};
     use oo_model::{AttrType, Path, SchemaBuilder};
 
@@ -559,7 +560,7 @@ mod tests {
             .build()
             .unwrap();
         let aset = AssertionSet::build([uncle_assertion()]).unwrap();
-        let mut ctx = Integrator::new(&s1, &s2, &aset);
+        let mut ctx = Integrator::new(&SchemaGraph::new(&s1), &SchemaGraph::new(&s2), &aset);
         ctx.note_derivation(0);
         ctx.finalize().unwrap();
         assert_eq!(ctx.stats.rules_generated, 1);

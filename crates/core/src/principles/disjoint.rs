@@ -93,7 +93,7 @@ pub fn apply_all(ctx: &mut Integrator<'_>, ids: &BTreeSet<usize>) -> Result<()> 
             continue;
         }
         let rule = Rule::disjunctive(heads, body);
-        ctx.push_trace(TraceEvent::RuleGenerated {
+        ctx.push_trace(|| TraceEvent::RuleGenerated {
             rule: rule.to_string(),
         });
         ctx.output.add_rule(rule);
@@ -141,7 +141,7 @@ fn reverse_agg_rules(ctx: &mut Integrator<'_>, id: usize) -> Result<()> {
             )],
         );
         for rule in [r1, r2] {
-            ctx.push_trace(TraceEvent::RuleGenerated {
+            ctx.push_trace(|| TraceEvent::RuleGenerated {
                 rule: rule.to_string(),
             });
             ctx.output.add_rule(rule);
@@ -154,6 +154,7 @@ fn reverse_agg_rules(ctx: &mut Integrator<'_>, id: usize) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::SchemaGraph;
     use assertions::{AggCorr, AssertionSet, ClassAssertion, ClassOp, SPath};
     use oo_model::{AttrType, Cardinality, SchemaBuilder};
 
@@ -178,7 +179,7 @@ mod tests {
             ClassAssertion::simple("S1", "man", ClassOp::Disjoint, "S2", "woman"),
         ])
         .unwrap();
-        let mut ctx = Integrator::new(&s1, &s2, &aset);
+        let mut ctx = Integrator::new(&SchemaGraph::new(&s1), &SchemaGraph::new(&s2), &aset);
         ctx.merge_equivalent(0).unwrap();
         ctx.note_disjoint(1);
         ctx.finalize().unwrap();
@@ -205,7 +206,7 @@ mod tests {
             "woman",
         )])
         .unwrap();
-        let mut ctx = Integrator::new(&s1, &s2, &aset);
+        let mut ctx = Integrator::new(&SchemaGraph::new(&s1), &SchemaGraph::new(&s2), &aset);
         ctx.note_disjoint(0);
         ctx.finalize().unwrap();
         assert!(ctx.output.rules.is_empty());
@@ -242,7 +243,7 @@ mod tests {
             SPath::attr("S2", "woman", "spouse"),
         ))])
         .unwrap();
-        let mut ctx = Integrator::new(&s1, &s2, &aset);
+        let mut ctx = Integrator::new(&SchemaGraph::new(&s1), &SchemaGraph::new(&s2), &aset);
         ctx.note_disjoint(0);
         ctx.finalize().unwrap();
         let rules: Vec<String> = ctx.output.rules.iter().map(|r| r.to_string()).collect();
@@ -276,7 +277,7 @@ mod tests {
             ClassAssertion::simple("S1", "adult", ClassOp::Disjoint, "S2", "minor"),
         ])
         .unwrap();
-        let mut ctx = Integrator::new(&s1, &s2, &aset);
+        let mut ctx = Integrator::new(&SchemaGraph::new(&s1), &SchemaGraph::new(&s2), &aset);
         ctx.merge_equivalent(0).unwrap();
         ctx.note_disjoint(1);
         ctx.note_disjoint(2);

@@ -480,6 +480,7 @@ pub fn merge(ctx: &mut Integrator<'_>, a: &ClassAssertion) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::SchemaGraph;
     use assertions::{AssertionSet, ClassAssertion, ClassOp};
     use oo_model::{Cardinality, SchemaBuilder};
 
@@ -537,7 +538,7 @@ mod tests {
     fn example_6_merged_type() {
         let (s1, s2) = schemas();
         let aset = AssertionSet::build([fig_4a()]).unwrap();
-        let mut ctx = Integrator::new(&s1, &s2, &aset);
+        let mut ctx = Integrator::new(&SchemaGraph::new(&s1), &SchemaGraph::new(&s2), &aset);
         let name = ctx.merge_equivalent(0).unwrap();
         assert_eq!(name, "person");
         let class = ctx.output.class("person").unwrap();
@@ -569,7 +570,7 @@ mod tests {
     fn merge_is_idempotent() {
         let (s1, s2) = schemas();
         let aset = AssertionSet::build([fig_4a()]).unwrap();
-        let mut ctx = Integrator::new(&s1, &s2, &aset);
+        let mut ctx = Integrator::new(&SchemaGraph::new(&s1), &SchemaGraph::new(&s2), &aset);
         let n1 = ctx.merge_equivalent(0).unwrap();
         let n2 = ctx.merge_equivalent(0).unwrap();
         assert_eq!(n1, n2);
@@ -596,7 +597,7 @@ mod tests {
             ),
         );
         let aset = AssertionSet::build([a]).unwrap();
-        let mut ctx = Integrator::new(&s1, &s2, &aset);
+        let mut ctx = Integrator::new(&SchemaGraph::new(&s1), &SchemaGraph::new(&s2), &aset);
         ctx.merge_equivalent(0).unwrap();
         let class = ctx.output.class("faculty").unwrap();
         assert!(class.attribute("income_").is_some());
@@ -632,7 +633,7 @@ mod tests {
         );
         let ranges = ClassAssertion::simple("S1", "dept1", ClassOp::Equiv, "S2", "dept2");
         let aset = AssertionSet::build([a, ranges]).unwrap();
-        let mut ctx = Integrator::new(&s1, &s2, &aset);
+        let mut ctx = Integrator::new(&SchemaGraph::new(&s1), &SchemaGraph::new(&s2), &aset);
         ctx.merge_equivalent(0).unwrap();
         let class = ctx.output.class("faculty").unwrap();
         // lcs([1:1], [m:1]) = [m:1]
@@ -660,7 +661,7 @@ mod tests {
                 SPath::attr("S2", "b", "g"),
             ));
         let aset = AssertionSet::build([a]).unwrap();
-        let mut ctx = Integrator::new(&s1, &s2, &aset);
+        let mut ctx = Integrator::new(&SchemaGraph::new(&s1), &SchemaGraph::new(&s2), &aset);
         ctx.merge_equivalent(0).unwrap();
         let class = ctx.output.class("a").unwrap();
         assert_eq!(class.aggs.len(), 2);
@@ -687,7 +688,7 @@ mod tests {
             ),
         );
         let aset = AssertionSet::build([a]).unwrap();
-        let mut ctx = Integrator::new(&s1, &s2, &aset);
+        let mut ctx = Integrator::new(&SchemaGraph::new(&s1), &SchemaGraph::new(&s2), &aset);
         ctx.merge_equivalent(0).unwrap();
         let class = ctx.output.class("man").unwrap();
         // both kept; second freshened to spouse_2
@@ -714,7 +715,7 @@ mod tests {
                 SPath::attr("S1", "restaurant-1", "category"),
             ));
         let aset = AssertionSet::build([a]).unwrap();
-        let mut ctx = Integrator::new(&s1, &s2, &aset);
+        let mut ctx = Integrator::new(&SchemaGraph::new(&s1), &SchemaGraph::new(&s2), &aset);
         ctx.merge_equivalent(0).unwrap();
         let class = ctx.output.class("restaurant-1").unwrap();
         assert!(class.attribute("cuisine").is_some());

@@ -87,7 +87,7 @@ pub fn apply(ctx: &mut Integrator<'_>, assertion_id: usize) -> Result<()> {
     super::equivalence::merge_aggs(ctx, &a, &mut ab)?;
     ctx.output.insert_class(ab);
     ctx.stats.virtual_classes += 1;
-    ctx.push_trace(TraceEvent::VirtualClass {
+    ctx.push_trace(|| TraceEvent::VirtualClass {
         name: ab_name.clone(),
     });
     // The two complement classes (virtual, attribute-free: "no integration
@@ -103,7 +103,7 @@ pub fn apply(ctx: &mut Integrator<'_>, assertion_id: usize) -> Result<()> {
     ctx.stats.virtual_classes += 2;
 
     for rule in membership_rules(&is_a, &is_b, &ab_name, &a_minus, &b_minus) {
-        ctx.push_trace(TraceEvent::RuleGenerated {
+        ctx.push_trace(|| TraceEvent::RuleGenerated {
             rule: rule.to_string(),
         });
         ctx.output.add_rule(rule);
@@ -115,6 +115,7 @@ pub fn apply(ctx: &mut Integrator<'_>, assertion_id: usize) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::SchemaGraph;
     use assertions::{AssertionSet, AttrCorr, AttrOp, ClassAssertion, ClassOp, SPath};
     use oo_model::{AttrType, SchemaBuilder};
 
@@ -154,7 +155,7 @@ mod tests {
                 SPath::attr("S2", "student", "study_support"),
             ));
         let aset = AssertionSet::build([a]).unwrap();
-        let mut ctx = Integrator::new(&s1, &s2, &aset);
+        let mut ctx = Integrator::new(&SchemaGraph::new(&s1), &SchemaGraph::new(&s2), &aset);
         ctx.note_intersection(0);
         ctx.finalize().unwrap();
 

@@ -29,6 +29,11 @@ pub struct IntegrationStats {
     pub pairs_enqueued: u64,
     /// Assertion-set consultations during depth-first `path_labelling`.
     pub dfs_checks: u64,
+    /// Every relation lookup, memoised or not: each pair consultation, and
+    /// each table row the prune warnings and the hidden-assertion search
+    /// read. The work measure that grows with the traversal's real cost,
+    /// where `total_checks` counts each unique pair once.
+    pub relation_lookups: u64,
     /// Labels allocated by `path_labelling`.
     pub labels_created: u64,
     /// Nodes that received a label.
@@ -75,6 +80,7 @@ impl IntegrationStats {
         );
         obs::counter_add("fedoo_core_pairs_enqueued_total", self.pairs_enqueued);
         obs::counter_add("fedoo_core_dfs_checks_total", self.dfs_checks);
+        obs::counter_add("fedoo_core_relation_lookups_total", self.relation_lookups);
         obs::counter_add("fedoo_core_total_checks_total", self.total_checks());
         obs::counter_add("fedoo_core_labels_created_total", self.labels_created);
         obs::counter_add("fedoo_core_classes_merged_total", self.classes_merged);
@@ -91,6 +97,7 @@ impl AddAssign for IntegrationStats {
         self.pairs_removed_as_siblings += o.pairs_removed_as_siblings;
         self.pairs_enqueued += o.pairs_enqueued;
         self.dfs_checks += o.dfs_checks;
+        self.relation_lookups += o.relation_lookups;
         self.labels_created += o.labels_created;
         self.nodes_labelled += o.nodes_labelled;
         self.classes_merged += o.classes_merged;
@@ -117,6 +124,7 @@ impl fmt::Display for IntegrationStats {
         )?;
         writeln!(f, "pairs enqueued:           {}", self.pairs_enqueued)?;
         writeln!(f, "DFS checks:               {}", self.dfs_checks)?;
+        writeln!(f, "relation lookups:         {}", self.relation_lookups)?;
         writeln!(f, "labels created:           {}", self.labels_created)?;
         writeln!(f, "nodes labelled:           {}", self.nodes_labelled)?;
         writeln!(f, "classes merged:           {}", self.classes_merged)?;

@@ -388,6 +388,11 @@ impl MaterializedProgram {
         self.base.len()
     }
 
+    /// The base (externally asserted) facts.
+    pub fn base_facts(&self) -> &BTreeSet<Fact> {
+        &self.base
+    }
+
     /// Is `rel` maintained by DRed (a recursive component)?
     pub fn is_recursive_relation(&self, rel: &str) -> bool {
         self.recursive.contains(rel)

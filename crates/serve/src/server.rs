@@ -205,6 +205,17 @@ impl Server {
         }
     }
 
+    /// Answer a line that cannot be a request (too long, not UTF-8) with a
+    /// `parse` error under a fresh server-assigned id.
+    pub fn parse_error(&self, message: &str) -> Handled {
+        Handled::reply(error_response(
+            &self.fresh_id(),
+            None,
+            ErrorCode::Parse,
+            message,
+        ))
+    }
+
     /// Handle one parsed request under a fresh server-assigned id.
     pub fn handle(&self, req: Request) -> Handled {
         let rid = self.fresh_id();

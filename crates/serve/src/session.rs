@@ -12,7 +12,7 @@
 //! (degraded past policy) so CI can tell refusal modes apart.
 
 use crate::server::Server;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
@@ -34,24 +34,83 @@ pub struct SessionSummary {
     pub exit: u8,
 }
 
+/// Longest request line a session reads, newline excluded. A longer line
+/// is answered with a `parse` error and skipped, so one hostile line cannot
+/// grow the session's buffer without bound; no request this protocol
+/// defines comes near it.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Read the next line of `input` into `buf`: `None` at end of input, the
+/// line's text, or why it cannot be a request (too long, not UTF-8).
+fn read_line<'b>(
+    input: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> std::io::Result<Option<Result<&'b str, String>>> {
+    buf.clear();
+    let read = Read::take(&mut *input, MAX_LINE_BYTES as u64 + 1).read_until(b'\n', buf)?;
+    if read == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_LINE_BYTES {
+        skip_line(input)?;
+        return Ok(Some(Err(format!(
+            "request line longer than {MAX_LINE_BYTES} bytes"
+        ))));
+    }
+    Ok(Some(std::str::from_utf8(buf).map_err(|e| {
+        format!(
+            "request line is not valid UTF-8 (at byte {})",
+            e.valid_up_to()
+        )
+    })))
+}
+
+/// Discard the rest of the current line, newline included.
+fn skip_line(input: &mut impl BufRead) -> std::io::Result<()> {
+    loop {
+        let chunk = input.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        match chunk.iter().position(|&b| b == b'\n') {
+            Some(at) => {
+                input.consume(at + 1);
+                return Ok(());
+            }
+            None => {
+                let n = chunk.len();
+                input.consume(n);
+            }
+        }
+    }
+}
+
 /// Run one serving session to end-of-input (or a `shutdown` request).
 /// Blank lines and `#` comment lines are skipped, so recorded sessions
-/// can be annotated.
+/// can be annotated. A line longer than [`MAX_LINE_BYTES`] or not valid
+/// UTF-8 gets a `parse` error and the session goes on.
 pub fn run_session(
     server: &Server,
-    input: impl BufRead,
+    mut input: impl BufRead,
     mut output: impl Write,
     opts: SessionOpts,
 ) -> std::io::Result<SessionSummary> {
     let mut summary = SessionSummary::default();
-    for line in input.lines() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
+    let mut buf = Vec::new();
+    while let Some(line) = read_line(&mut input, &mut buf)? {
+        let handled = match line {
+            Ok(line) => {
+                let line = line.trim();
+                if line.is_empty() || line.starts_with('#') {
+                    continue;
+                }
+                server.handle_line(line)
+            }
+            Err(problem) => server.parse_error(&problem),
+        };
         summary.requests += 1;
-        let handled = server.handle_line(line);
         summary.sheds += u64::from(handled.shed);
         summary.errors += u64::from(handled.response.starts_with("{\"ok\":false"));
         output.write_all(handled.response.as_bytes())?;
@@ -195,6 +254,60 @@ mod tests {
             text,
             "{\"ok\":true,\"request_id\":\"r1\",\"op\":\"ping\",\"generation\":0}\n\
              {\"ok\":true,\"request_id\":\"r2\",\"op\":\"shutdown\"}\n"
+        );
+    }
+
+    /// Replay raw `input` bytes through a session; the response lines.
+    fn replay(input: &[u8]) -> Vec<String> {
+        let server = library_server(ServeConfig::default());
+        let mut out = Vec::new();
+        run_session(&server, input, &mut out, SessionOpts::default()).unwrap();
+        String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn overlong_line_gets_a_parse_error_and_the_session_goes_on() {
+        let mut input = vec![b'x'; 2 << 20];
+        input.extend_from_slice(b"\n{\"op\":\"ping\"}\n");
+        let lines = replay(&input);
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert_eq!(
+            lines[0],
+            format!(
+                "{{\"ok\":false,\"request_id\":\"r1\",\"code\":\"parse\",\
+                 \"error\":\"request line longer than {MAX_LINE_BYTES} bytes\"}}"
+            )
+        );
+        assert_eq!(
+            lines[1],
+            "{\"ok\":true,\"request_id\":\"r2\",\"op\":\"ping\",\"generation\":0}"
+        );
+        // A line of exactly the bound is read whole (and fails to parse
+        // as JSON, not as a line).
+        let mut input = vec![b' '; MAX_LINE_BYTES - 2];
+        input.extend_from_slice(b"{}\n{\"op\":\"ping\"}");
+        let lines = replay(&input);
+        assert!(!lines[0].contains("longer than"), "{}", lines[0]);
+        assert!(lines[1].contains("\"op\":\"ping\""), "{}", lines[1]);
+    }
+
+    #[test]
+    fn invalid_utf8_line_gets_a_parse_error_and_the_session_goes_on() {
+        let lines = replay(b"{\"op\":\xff}\n{\"op\":\"ping\"}\n");
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(
+            lines[0].starts_with("{\"ok\":false,\"request_id\":\"r1\",\"code\":\"parse\""),
+            "{}",
+            lines[0]
+        );
+        assert!(lines[0].contains("not valid UTF-8"), "{}", lines[0]);
+        assert_eq!(
+            lines[1],
+            "{\"ok\":true,\"request_id\":\"r2\",\"op\":\"ping\",\"generation\":0}"
         );
     }
 
