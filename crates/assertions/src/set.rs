@@ -169,6 +169,11 @@ impl AssertionSet {
         self.assertions.iter()
     }
 
+    /// The assertions in insertion order, borrowed.
+    pub fn as_slice(&self) -> &[ClassAssertion] {
+        &self.assertions
+    }
+
     pub fn get(&self, id: usize) -> Option<&ClassAssertion> {
         self.assertions.get(id)
     }

@@ -41,8 +41,7 @@ pub(crate) fn run_gate(
     assertions: &AssertionSet,
 ) -> Result<(analysis::AnalysisStats, Vec<String>)> {
     let t0 = std::time::Instant::now();
-    let list: Vec<_> = assertions.iter().cloned().collect();
-    let report = analysis::pre_integration_gate(s1, s2, &list);
+    let report = analysis::pre_integration_gate(s1, s2, assertions.as_slice());
     let stats = report.stats(t0.elapsed().as_micros().min(u64::MAX as u128) as u64);
     if report.has_deny() {
         return Err(crate::IntegrationError::AnalysisRejected(

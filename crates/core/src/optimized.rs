@@ -190,7 +190,8 @@ fn integrate(
                 let rel = ctx.relation(n1, n2);
                 if !matches!(rel, PairRelation::None) {
                     ctx.warnings.push(format!(
-                        "assertion between ({c1}, {c2}) was declared although the pair was                          pruned by an equivalence between relatives; applying it anyway"
+                        "assertion between ({c1}, {c2}) was declared although the pair was \
+                         pruned by an equivalence between relatives; applying it anyway"
                     ));
                     ctx.stats.pairs_checked += 1;
                     handle_pair(&mut ctx, c1, c2, rel)?;
@@ -342,7 +343,8 @@ fn integrate(
 /// The warning for a declared pair that a removed sibling pair prunes.
 fn pruned_pair_warning(ca: &str, cb: &str) -> String {
     format!(
-        "assertion between ({ca}, {cb}) ignored: the pair was pruned by an                          equivalence between relatives; please confirm the assertion is intended"
+        "assertion between ({ca}, {cb}) ignored: the pair was pruned by an \
+         equivalence between relatives; please confirm the assertion is intended"
     )
 }
 
@@ -1048,6 +1050,44 @@ mod indexed_traversal_tests {
             prop_assert_eq!(without_lookups(indexed.stats), without_lookups(oracle.stats));
             prop_assert_eq!(indexed.trace, oracle.trace);
         }
+    }
+
+    /// Every warning an integration emits is single-spaced, the two
+    /// prune warnings included (both kinds occur over these inputs).
+    #[test]
+    fn integration_warnings_have_no_double_spaces() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut seen = BTreeSet::new();
+        for case in 0..400 {
+            let p1: Vec<usize> = (0..9).map(|_| draw(10)).collect();
+            let p2: Vec<usize> = (0..9).map(|_| draw(10)).collect();
+            let ops: Vec<u8> = (0..10).map(|_| draw(6) as u8).collect();
+            let targets: Vec<usize> = (0..10).map(|_| draw(10)).collect();
+            let s1 = schema("S1", "a", &p1, &[]);
+            let s2 = schema("S2", "b", if case % 2 == 0 { &p1 } else { &p2 }, &[]);
+            let set = assertions(s1.len(), s2.len(), &ops, &targets);
+            let Ok(run) = schema_integration(&s1, &s2, &set) else {
+                continue;
+            };
+            for w in run.warnings {
+                assert!(!w.contains("  "), "double space in warning: {w}");
+                for kind in [
+                    "was declared although the pair was pruned",
+                    "ignored: the pair",
+                ] {
+                    if w.contains(kind) {
+                        seen.insert(kind);
+                    }
+                }
+            }
+        }
+        assert_eq!(seen.len(), 2, "both prune warnings must occur: {seen:?}");
     }
 
     /// §6.1's mirrored trees of `n` classes under all-≡ assertions, with

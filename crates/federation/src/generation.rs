@@ -5,10 +5,12 @@
 //! current generation and evaluate against it for as long as they like —
 //! no lock is held while they run, so any number of queries proceed
 //! concurrently. Writers serialise on a single writer lock, clone the
-//! component vector (copy-on-write at the `Arc` level: cheap when no
-//! reader still shares it), apply their mutation, and atomically install
-//! the result as generation N+1. A reader pinned to generation N is
-//! never affected: its `Arc` keeps the old state alive until the last
+//! component vector, apply their mutation, and atomically install the
+//! result as generation N+1. The clone is shallow: an `InstanceStore`
+//! shares its partitions and objects by `Arc`, so a write copies only the
+//! partition and class index it touches, and dropping an old generation
+//! frees only what no later one shares. A reader pinned to generation N
+//! is never affected: its `Arc` keeps the old state alive until the last
 //! pin drops.
 //!
 //! Downstream caches key off [`Generation::versions`] (the per-component
@@ -90,13 +92,13 @@ impl GenerationStore {
     /// and the new generation number. Writers serialise; readers pinned
     /// to the old generation are untouched.
     pub fn mutate<T>(&self, f: impl FnOnce(&mut Vec<(Schema, InstanceStore)>) -> T) -> (T, u64) {
+        let _span = obs::span!("federation.mutate", "federation");
         let _writer = self.writer.lock().unwrap();
         let base = self.pin();
-        // Clone-on-write: readers still share `base.components`, so
-        // make_mut on a fresh Arc clone copies the vector once. A store
-        // with no pinned readers would be reused in place, but the head
-        // itself always holds one reference, so this is a real copy —
-        // the price of never blocking a reader.
+        // The head and any pinned readers still share `base.components`,
+        // so the writer works on its own copy. Copying a store copies
+        // its partition and class-index handles, not its objects; the
+        // mutation then copies only the partition it writes.
         let mut next = base.components.as_ref().clone();
         let out = f(&mut next);
         let number = base.number + 1;

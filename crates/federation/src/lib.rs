@@ -43,7 +43,7 @@ pub use mapping::{DataMapping, MetaRegistry, ObjectPairing};
 pub use policy::{
     AccessStats, CircuitBreaker, CircuitState, ComponentHealth, GuardedConnector, RetryPolicy,
 };
-pub use query::{AgentProvider, FactMaterializer, FederationDb};
+pub use query::{AgentProvider, CoupledClasses, FactMaterializer, FederationDb};
 
 use std::fmt;
 

@@ -15,7 +15,8 @@ use crate::fsm::GlobalSchema;
 use crate::mapping::{aif_average, concatenation, MetaRegistry};
 use crate::{FedError, Result};
 use deduction::{
-    EvalStats, EvalStrategy, ExtentProvider, FactDb, Literal, OTermPat, Program, Rule, Subst, Term,
+    EvalStats, EvalStrategy, ExtentProvider, Fact, FactDb, FactDelta, Literal, OTermPat, Program,
+    Rule, Subst, Term,
 };
 use fedoo_core::{AifKind, AttrOrigin};
 use oo_model::{InstanceStore, Object, Oid, Schema, Value};
@@ -315,6 +316,75 @@ impl<'a> FactMaterializer<'a> {
         out
     }
 
+    /// The base-fact delta from `older`, another snapshot of this
+    /// lineage, to this materializer's components: the stores'
+    /// [`InstanceStore::diff`] turned into facts by
+    /// [`Self::fact_for_object`]. `None` when a schema changed or some
+    /// changed object's fact is not a function of that object alone (see
+    /// [`Self::fact_is_local`]); the caller must then rebuild the base.
+    /// An update that leaves an object's fact as it was cancels out.
+    pub fn delta_since(
+        &self,
+        older: &[(Schema, InstanceStore)],
+        coupled: &CoupledClasses,
+    ) -> Option<FactDelta> {
+        if older.len() != self.components.len() {
+            return None;
+        }
+        let (mut insert, mut remove) = (BTreeSet::new(), BTreeSet::new());
+        for (ci, ((schema, store), (old_schema, old_store))) in
+            self.components.iter().zip(older).enumerate()
+        {
+            if schema != old_schema {
+                return None;
+            }
+            let diff = store.diff(old_store);
+            for (objs, out) in [(diff.removed, &mut remove), (diff.added, &mut insert)] {
+                for obj in objs {
+                    if !self.fact_is_local(ci, schema, obj, older, coupled) {
+                        return None;
+                    }
+                    let Some(g) = self.global_class_of(ci, obj.class.as_str()) else {
+                        continue;
+                    };
+                    out.insert(Fact::class(
+                        self.fact_for_object(schema, obj, g, None).ok()?,
+                    ));
+                }
+            }
+        }
+        Some(FactDelta {
+            insert: insert.difference(&remove).cloned().collect(),
+            remove: remove.difference(&insert).cloned().collect(),
+        })
+    }
+
+    /// Whether `obj` (of component `ci`) contributes exactly one base
+    /// fact that reads no other object: it has no pairing partner (which
+    /// would feed partner values and identity bridges), its class feeds
+    /// no [`CoupledClasses`] origin, and no other component of either
+    /// snapshot holds an object under the same OID (whose fact could
+    /// coincide with this one).
+    fn fact_is_local(
+        &self,
+        ci: usize,
+        schema: &Schema,
+        obj: &Object,
+        older: &[(Schema, InstanceStore)],
+        coupled: &CoupledClasses,
+    ) -> bool {
+        let elsewhere = |comps: &[(Schema, InstanceStore)]| {
+            comps
+                .iter()
+                .enumerate()
+                .any(|(j, (_, st))| j != ci && st.get(&obj.oid).is_some())
+        };
+        !coupled.contains(schema.name.as_str(), obj.class.as_str())
+            && self.meta.pairing.partners(&obj.oid).is_empty()
+            && !elsewhere(self.components)
+            && !elsewhere(older)
+    }
+
     /// Compute the integrated value of one attribute for one source object.
     fn integrated_value(
         &self,
@@ -433,6 +503,44 @@ impl<'a> FactMaterializer<'a> {
                 }
             }
         }
+    }
+}
+
+/// Component classes whose objects' facts read other objects: the
+/// sources, on either side, of an intersection or concatenation
+/// attribute origin (partner values and value-set differences). A change
+/// to such an object can change facts of objects it never touched, so
+/// [`FactMaterializer::delta_since`] refuses it. Schema-derived only, so
+/// a serving lineage computes it once.
+#[derive(Debug, Clone, Default)]
+pub struct CoupledClasses(BTreeMap<String, BTreeSet<String>>);
+
+impl CoupledClasses {
+    pub fn of(global: &GlobalSchema) -> Self {
+        let mut map: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        for class in global.integrated.classes() {
+            for origin in class.attr_origins.values() {
+                if let AttrOrigin::IntersectionCommon(a, b, _)
+                | AttrOrigin::IntersectionLeftOnly(a, b)
+                | AttrOrigin::IntersectionRightOnly(a, b)
+                | AttrOrigin::Concat(a, b) = origin
+                {
+                    for src in [a, b] {
+                        map.entry(src.schema.clone())
+                            .or_default()
+                            .insert(src.class.clone());
+                    }
+                }
+            }
+        }
+        CoupledClasses(map)
+    }
+
+    /// Whether `(schema, class)` of a component feeds a coupling origin.
+    pub fn contains(&self, schema: &str, class: &str) -> bool {
+        self.0
+            .get(schema)
+            .is_some_and(|classes| classes.contains(class))
     }
 }
 

@@ -12,17 +12,76 @@ use crate::object::Object;
 use crate::oid::Oid;
 use crate::schema::Schema;
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+/// One partition: the objects sharing an OID prefix.
+type Partition = Arc<BTreeMap<Oid, Arc<Object>>>;
 
 /// Instance store for one schema.
+///
+/// Objects are partitioned by OID prefix — the OID with its number set
+/// to 0, i.e. the class of a local OID and the agent/dbms/db/relation of
+/// a federated one — and every partition, object and class index is
+/// behind an `Arc`. Cloning a store therefore costs O(partitions), and a
+/// write copies only the partition and class index it touches: the
+/// snapshot generations of a serving store share everything else.
+/// Partition keys sort before the OIDs they hold and after every OID of
+/// an earlier prefix, so walking partitions in key order and each
+/// partition in OID order is exactly global `Oid` order.
 #[derive(Debug, Clone, Default)]
 pub struct InstanceStore {
-    objects: BTreeMap<Oid, Object>,
-    by_class: BTreeMap<ClassName, BTreeSet<Oid>>,
+    parts: BTreeMap<Oid, Partition>,
+    by_class: BTreeMap<ClassName, Arc<BTreeSet<Oid>>>,
     next_local: BTreeMap<ClassName, u64>,
     /// Monotone mutation counter. Query-result caches key on this to
     /// detect that a previously planned extent has changed.
     version: u64,
+}
+
+/// The objects that differ between two stores (see [`InstanceStore::diff`]).
+#[derive(Debug, Default)]
+pub struct StoreDiff<'a> {
+    /// Objects of the newer store absent from, or different in, the older.
+    pub added: Vec<&'a Object>,
+    /// Objects of the older store absent from, or different in, the newer.
+    pub removed: Vec<&'a Object>,
+}
+
+/// The partition key of `oid`: the same OID with number 0.
+fn partition_key(oid: &Oid) -> Oid {
+    match oid {
+        Oid::Federated {
+            agent,
+            dbms,
+            database,
+            relation,
+            ..
+        } => Oid::federated(agent, dbms, database, relation, 0),
+        Oid::Local { class, .. } => Oid::local(class, 0),
+    }
+}
+
+/// Walk two maps in key order, calling `f` with each key's entry on
+/// either side.
+fn merge_walk<'a, K: Ord, V>(
+    new: &'a BTreeMap<K, V>,
+    old: &'a BTreeMap<K, V>,
+    mut f: impl FnMut(Option<&'a V>, Option<&'a V>),
+) {
+    let (mut a, mut b) = (new.iter().peekable(), old.iter().peekable());
+    loop {
+        let order = match (a.peek(), b.peek()) {
+            (None, None) => return,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some((ka, _)), Some((kb, _))) => ka.cmp(kb),
+        };
+        let x = order.is_le().then(|| a.next().map(|(_, v)| v)).flatten();
+        let y = order.is_ge().then(|| b.next().map(|(_, v)| v)).flatten();
+        f(x, y);
+    }
 }
 
 impl InstanceStore {
@@ -73,14 +132,12 @@ impl InstanceStore {
                 }
             }
         }
-        if self.objects.contains_key(&obj.oid) {
+        if self.get(&obj.oid).is_some() {
             return Err(ModelError::Duplicate(obj.oid.to_string()));
         }
-        self.by_class
-            .entry(class.name.clone())
-            .or_default()
-            .insert(obj.oid.clone());
-        self.objects.insert(obj.oid.clone(), obj);
+        Arc::make_mut(self.by_class.entry(class.name.clone()).or_default()).insert(obj.oid.clone());
+        Arc::make_mut(self.parts.entry(partition_key(&obj.oid)).or_default())
+            .insert(obj.oid.clone(), Arc::new(obj));
         self.version += 1;
         Ok(())
     }
@@ -108,15 +165,23 @@ impl InstanceStore {
     /// Remove the object `oid`, returning it. Maintains the class index
     /// and bumps the version. `None` (and no version bump) if absent.
     pub fn delete(&mut self, oid: &Oid) -> Option<Object> {
-        let obj = self.objects.remove(oid)?;
+        let (key, part) = self.parts.range_mut(..=oid).next_back()?;
+        if !part.contains_key(oid) {
+            return None;
+        }
+        let obj = Arc::make_mut(part).remove(oid)?;
+        if part.is_empty() {
+            let key = key.clone();
+            self.parts.remove(&key);
+        }
         if let Some(set) = self.by_class.get_mut(&obj.class) {
-            set.remove(oid);
+            Arc::make_mut(set).remove(oid);
             if set.is_empty() {
                 self.by_class.remove(&obj.class);
             }
         }
         self.version += 1;
-        Some(obj)
+        Some(Arc::unwrap_or_clone(obj))
     }
 
     /// Rebuild the object `oid` through `f` and re-validate the result
@@ -128,7 +193,6 @@ impl InstanceStore {
         F: FnOnce(Object) -> Object,
     {
         let old = self
-            .objects
             .get(oid)
             .cloned()
             .ok_or_else(|| ModelError::Invalid(format!("no object `{oid}`")))?;
@@ -152,20 +216,51 @@ impl InstanceStore {
         }
     }
 
+    /// The object `oid`. Allocates nothing: the only partition that can
+    /// hold `oid` is the last one whose key is not greater than it.
     pub fn get(&self, oid: &Oid) -> Option<&Object> {
-        self.objects.get(oid)
+        let (_, part) = self.parts.range(..=oid).next_back()?;
+        part.get(oid).map(|o| &**o)
     }
 
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.parts.values().map(|p| p.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.parts.is_empty()
     }
 
+    /// Every object, in `Oid` order.
     pub fn iter(&self) -> impl Iterator<Item = &Object> {
-        self.objects.values()
+        self.parts.values().flat_map(|p| p.values().map(|o| &**o))
+    }
+
+    /// The objects that differ between this store and `older`, another
+    /// snapshot of the same lineage, in `Oid` order. Partitions and
+    /// objects the two still share (`Arc::ptr_eq`) are skipped without
+    /// being compared, so the cost is O(partitions) plus the size of the
+    /// partitions a write copied. The diff is symmetric:
+    /// `older.diff(self)` swaps `added` and `removed`.
+    pub fn diff<'a>(&'a self, older: &'a InstanceStore) -> StoreDiff<'a> {
+        let mut out = StoreDiff::default();
+        merge_walk(&self.parts, &older.parts, |new, old| match (new, old) {
+            (Some(a), Some(b)) if Arc::ptr_eq(a, b) => {}
+            (Some(a), Some(b)) => merge_walk(a, b, |x, y| match (x, y) {
+                (Some(x), Some(y)) if Arc::ptr_eq(x, y) || x == y => {}
+                (x, y) => {
+                    out.added.extend(x.map(|o| &**o));
+                    out.removed.extend(y.map(|o| &**o));
+                }
+            }),
+            (a, b) => {
+                out.added
+                    .extend(a.into_iter().flat_map(|p| p.values().map(|o| &**o)));
+                out.removed
+                    .extend(b.into_iter().flat_map(|p| p.values().map(|o| &**o)));
+            }
+        });
+        out
     }
 
     /// Direct-extent sizes per declared class, without walking objects —
@@ -178,7 +273,7 @@ impl InstanceStore {
     pub fn direct_extent(&self, class: &ClassName) -> Vec<&Object> {
         self.by_class
             .get(class)
-            .map(|oids| oids.iter().filter_map(|o| self.objects.get(o)).collect())
+            .map(|oids| oids.iter().filter_map(|o| self.get(o)).collect())
             .unwrap_or_default()
     }
 
@@ -198,14 +293,8 @@ impl InstanceStore {
     /// Apply aggregation function `agg` to the object `oid`, returning the
     /// referenced objects.
     pub fn apply_agg(&self, oid: &Oid, agg: &str) -> Vec<&Object> {
-        self.objects
-            .get(oid)
-            .map(|o| {
-                o.agg(agg)
-                    .iter()
-                    .filter_map(|t| self.objects.get(t))
-                    .collect()
-            })
+        self.get(oid)
+            .map(|o| o.agg(agg).iter().filter_map(|t| self.get(t)).collect())
             .unwrap_or_default()
     }
 

@@ -17,7 +17,8 @@
 //! [`QueryEngine::successor`] of the last. Such a lineage shares one
 //! closure cache, program summary, result cache and reference-evaluator
 //! state; the `Saturate` path syncs that state to the asking engine's
-//! snapshot by base-fact delta, so no engine copies a materialization.
+//! snapshot by the base-fact delta of the two snapshots' store diff, so
+//! no engine copies a materialization and a sync costs what changed.
 
 use crate::cache::{CacheStats, SharedResultCache, DEFAULT_SHARDS};
 use crate::degrade::{self, AnswerCompleteness};
@@ -34,7 +35,7 @@ use federation::connector::{FaultPlan, FaultyConnector, InProcessConnector, Virt
 use federation::fsm::{ComponentHealth, Fsm, GlobalSchema, IntegrationStrategy};
 use federation::mapping::MetaRegistry;
 use federation::policy::{GuardedConnector, RetryPolicy};
-use federation::FederationDb;
+use federation::{CoupledClasses, FactMaterializer, FederationDb};
 use fedoo_core::{PipelineStats, QpStats};
 use oo_model::{InstanceStore, Schema, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -279,18 +280,23 @@ impl FaultSession {
 }
 
 /// Reference-evaluator state behind the `Saturate` strategy, keyed by
-/// the component version vector it currently answers for.
+/// the component snapshot it currently answers for.
 ///
 /// The preferred shape is `Incremental`: a delta-maintained
-/// [`MaterializedProgram`]. Moving it to another version vector costs
-/// one unsaturated rebuild of the base facts (O(federation objects)) and
-/// one [`MaterializedProgram::sync_base`] (O(changed derivations))
-/// instead of a from-scratch saturation. Programs the maintainer rejects
+/// [`MaterializedProgram`] plus the snapshot it answers for. Moving it
+/// to another snapshot of the lineage diffs the two snapshots' stores,
+/// turns the changed objects into a base-fact delta and applies it:
+/// O(changed objects + changed derivations). Changes whose facts read
+/// other objects (pairing partners, [`CoupledClasses`] origins) instead
+/// rebuild the base facts and [`MaterializedProgram::sync_base`] to
+/// them, O(federation objects). Programs the maintainer rejects
 /// (non-stratifiable, unsafe, class-variable rules) fall back to `Full`,
 /// the historical rebuild-and-saturate path.
 enum SatState {
     Incremental {
-        versions: Vec<u64>,
+        snapshot: Arc<Vec<(Schema, InstanceStore)>>,
+        /// The lineage's coupled classes, computed at cold start.
+        coupled: CoupledClasses,
         mat: MaterializedProgram,
     },
     Full(Vec<u64>, FederationDb),
@@ -301,10 +307,14 @@ enum SatState {
 type SharedSatState = Arc<Mutex<Option<SatState>>>;
 
 impl SatState {
-    fn versions(&self) -> &[u64] {
+    /// Whether the state answers for the snapshot with `versions`.
+    fn answers_for(&self, versions: &[u64]) -> bool {
         match self {
-            SatState::Incremental { versions, .. } => versions,
-            SatState::Full(versions, _) => versions,
+            SatState::Incremental { snapshot, .. } => snapshot
+                .iter()
+                .map(|(_, st)| st.version())
+                .eq(versions.iter().copied()),
+            SatState::Full(v, _) => v == versions,
         }
     }
 }
@@ -549,8 +559,9 @@ impl QueryEngine {
     /// version counter, which invalidates affected cache entries and the
     /// reference evaluator state on the next query. When the snapshot is
     /// shared with other holders (a pinned generation), this
-    /// copy-on-writes the whole component vector — sharers keep the old
-    /// snapshot, exactly the generation semantics.
+    /// copy-on-writes the component vector — a shallow copy, since stores
+    /// share their partitions — and sharers keep the old snapshot,
+    /// exactly the generation semantics.
     pub fn component_store_mut(&mut self, idx: usize) -> Option<&mut InstanceStore> {
         Arc::make_mut(&mut self.components)
             .get_mut(idx)
@@ -876,24 +887,47 @@ impl QueryEngine {
     /// Bring the reference-evaluator state to `versions`, this engine's
     /// snapshot.
     ///
-    /// Incremental state at other versions — older or newer, since the
-    /// state is shared across a lineage — moves by *delta*: rebuild the
-    /// base facts (unsaturated — no rule evaluation) and sync the
-    /// materialization to them. Derived facts are repaired by
-    /// counting/DRed maintenance instead of being recomputed. Cold starts
-    /// attempt the incremental shape and fall back to the full
-    /// rebuild-and-saturate path when the maintainer rejects the program.
+    /// Incremental state at another snapshot — older or newer, since the
+    /// state is shared across a lineage — moves by *delta*: the base-fact
+    /// delta of the two snapshots' store diff when every changed object's
+    /// fact is its own (`mode=diff`), otherwise a rebuild of the base
+    /// facts (unsaturated — no rule evaluation) synced against the
+    /// current base (`mode=rebuild`). Either way derived facts are
+    /// repaired by counting/DRed maintenance instead of being recomputed.
+    /// Cold starts attempt the incremental shape and fall back to the
+    /// full rebuild-and-saturate path when the maintainer rejects the
+    /// program.
     fn refresh_saturate_state(
         &self,
         guard: &mut Option<SatState>,
         versions: Vec<u64>,
     ) -> Result<()> {
-        if matches!(&*guard, Some(s) if s.versions() == versions.as_slice()) {
+        if matches!(&*guard, Some(s) if s.answers_for(&versions)) {
             return Ok(());
         }
-        if let Some(SatState::Incremental { versions: v, mat }) = guard.as_mut() {
-            let next = FederationDb::build(&self.global, &self.components, &self.meta)?;
-            let stats = mat.sync_base(next.facts());
+        if let Some(SatState::Incremental {
+            snapshot,
+            coupled,
+            mat,
+        }) = guard.as_mut()
+        {
+            let delta = FactMaterializer::new(&self.global, &self.components, &self.meta)
+                .delta_since(snapshot, coupled);
+            let mode = if delta.is_some() { "diff" } else { "rebuild" };
+            let _span = obs::span!("qp.saturate.sync", "qp", "mode={mode}");
+            let stats = match delta {
+                Some(delta) => mat.apply(&delta),
+                None => {
+                    let next = FederationDb::build(&self.global, &self.components, &self.meta)?;
+                    mat.sync_base(next.facts())
+                }
+            };
+            if obs::enabled() {
+                obs::counter_add(
+                    &obs::labeled("fedoo_qp_saturate_sync_total", "mode", mode),
+                    1,
+                );
+            }
             obs::instant!(
                 "qp.saturate.delta",
                 "qp",
@@ -902,14 +936,18 @@ impl QueryEngine {
                 stats.physical_removes,
                 stats.rederived
             );
-            *v = versions;
+            *snapshot = Arc::clone(&self.components);
             return Ok(());
         }
         let mut db = FederationDb::build(&self.global, &self.components, &self.meta)?;
         match MaterializedProgram::new(db.program().clone(), db.facts()) {
             Ok(mat) => {
                 *self.sat_eval.lock().unwrap() = Some(mat.initial_stats());
-                *guard = Some(SatState::Incremental { versions, mat });
+                *guard = Some(SatState::Incremental {
+                    snapshot: Arc::clone(&self.components),
+                    coupled: CoupledClasses::of(&self.global),
+                    mat,
+                });
             }
             Err(_) => {
                 // Program shapes the maintainer rejects (class-variable
@@ -1524,12 +1562,112 @@ mod tests {
             assert_eq!(&got.answer.rows, want);
             let state = engine.saturate_state().lock().unwrap();
             match state.as_ref() {
-                Some(SatState::Incremental { versions, .. }) => {
-                    assert_eq!(versions, &engine.versions())
+                Some(s @ SatState::Incremental { .. }) => {
+                    assert!(s.answers_for(&engine.versions()))
                 }
                 _ => panic!("campus program must be maintained incrementally"),
             }
         }
+    }
+
+    /// One shared state moved forward and back through random generations
+    /// of a lineage, over creates, updates and deletes on both sides of
+    /// the campus intersection (one pair of objects is paired, so both
+    /// sync modes run). At every step the rows equal a fresh engine's,
+    /// the maintained base equals the facts a full rebuild gives (what
+    /// `sync_base` would set), and the maintained database equals a fresh
+    /// materialization of that base.
+    #[test]
+    fn shared_state_syncs_to_any_generation_of_its_lineage() {
+        use deduction::materialize::all_facts;
+        use oo_model::Oid;
+        let mut fsm = campus_fsm();
+        fsm.meta
+            .pairing
+            .pair(Oid::local("faculty", 1), Oid::local("student", 1));
+        let root = QueryEngine::connect(&fsm, IntegrationStrategy::Accumulation).unwrap();
+        let faculty = root.global().global_class("S1", "faculty").unwrap();
+        let mut queries = vec![format!("?- <X: {faculty} | income: I>.")];
+        for r in root.global().rules.iter().filter(|r| r.heads.len() == 1) {
+            let head = r.head().and_then(|h| h.relation()).unwrap();
+            queries.push(format!("?- <X: {head}>."));
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut gens = vec![root];
+        for step in 0..16 {
+            let prev = gens.last().unwrap();
+            let mut next = prev.components().to_vec();
+            let ci = draw(2);
+            let (class, key, num) = [
+                ("faculty", "fssn", "income"),
+                ("student", "ssn", "study_support"),
+            ][ci];
+            let (schema, store) = &mut next[ci];
+            let oids: Vec<Oid> = store.iter().map(|o| o.oid.clone()).collect();
+            let pick = &oids[draw(oids.len())];
+            match draw(3) {
+                0 => {
+                    store
+                        .create(schema, class, |o| {
+                            o.with_attr(key, format!("k{step}"))
+                                .with_attr(num, step as i64)
+                        })
+                        .unwrap();
+                }
+                1 => store
+                    .update(schema, pick, |o| o.with_attr(num, 100 + step as i64))
+                    .unwrap(),
+                _ if oids.len() > 1 => {
+                    store.delete(pick);
+                }
+                _ => continue,
+            }
+            gens.push(prev.successor(Arc::new(next)));
+        }
+        let coupled = CoupledClasses::of(gens[0].global());
+        let (mut diffs, mut rebuilds) = (0, 0);
+        for _ in 0..40 {
+            let engine = &gens[draw(gens.len())];
+            if let Some(SatState::Incremental { snapshot, .. }) =
+                engine.saturate_state().lock().unwrap().as_ref()
+            {
+                let m = FactMaterializer::new(&engine.global, &engine.components, &engine.meta);
+                match m.delta_since(snapshot, &coupled) {
+                    Some(_) => diffs += 1,
+                    None => rebuilds += 1,
+                }
+            }
+            for q in &queries {
+                let got = engine.ask_analyze(q, QueryStrategy::Saturate).unwrap();
+                let fresh = QueryEngine::from_parts_arc(
+                    engine.global.clone(),
+                    engine.components_arc(),
+                    engine.meta.clone(),
+                );
+                let want = fresh.ask_text(q, QueryStrategy::Saturate).unwrap();
+                assert_eq!(got.answer.rows, want.rows, "{q}");
+            }
+            let guard = engine.saturate_state().lock().unwrap();
+            let Some(SatState::Incremental { mat, .. }) = guard.as_ref() else {
+                panic!("campus program must be maintained incrementally");
+            };
+            let rebuilt =
+                FederationDb::build(&engine.global, &engine.components, &engine.meta).unwrap();
+            let base: BTreeSet<_> = all_facts(rebuilt.facts()).into_iter().collect();
+            assert_eq!(mat.base_facts(), &base);
+            let reference = MaterializedProgram::new(rebuilt.program().clone(), rebuilt.facts());
+            assert_eq!(mat.live_facts(), reference.unwrap().live_facts());
+        }
+        assert!(
+            diffs > 0 && rebuilds > 0,
+            "diff {diffs}, rebuild {rebuilds}"
+        );
     }
 
     #[test]

@@ -177,10 +177,13 @@ impl Server {
         }
         let engine = Arc::new(engine);
         engines.push((gen.number(), Arc::clone(&engine)));
-        let cap = self.cfg.engine_cache.max(1);
-        while engines.len() > cap {
-            engines.remove(0);
-        }
+        let excess = engines.len().saturating_sub(self.cfg.engine_cache.max(1));
+        let evicted: Vec<_> = engines.drain(..excess).collect();
+        // An evicted engine may hold the last reference to its
+        // generation; free that after unlocking, not under the lock
+        // every reader's pin takes.
+        drop(engines);
+        drop(evicted);
         engine
     }
 

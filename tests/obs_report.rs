@@ -19,10 +19,19 @@ fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
+/// An absolute path for a file this test writes, in cargo's per-package
+/// scratch directory (which exists wherever the target directory is).
+fn scratch_file(name: &str) -> String {
+    Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(name)
+        .to_string_lossy()
+        .into_owned()
+}
+
 /// Replay `testdata/serve/slowlog.args` under an installed trace sink,
 /// returning the response stream and the drained observability session.
-/// The slow-log file is redirected so this test never races the golden
-/// tests over `target/slowlog_records.out`.
+/// The slow-log file is redirected to a scratch file of its own, so this
+/// test never races the golden tests' replays of the same fixture.
 fn traced_replay() -> (String, obs::Session) {
     let root = repo_root();
     let args_text = std::fs::read_to_string(root.join("testdata/serve/slowlog.args"))
@@ -31,7 +40,7 @@ fn traced_replay() -> (String, obs::Session) {
         .split_whitespace()
         .map(|a| {
             if a == "target/slowlog_records.out" {
-                "target/slowlog_records.obs_report.out".to_string()
+                scratch_file("slowlog_records.obs_report.out")
             } else {
                 a.to_string()
             }
@@ -131,14 +140,10 @@ fn obs_report_json_is_byte_deterministic() {
     let _guard = obs::test_guard();
     let (_, session) = traced_replay();
     let root = repo_root();
-    let trace_rel = "target/obs_report_trace.jsonl";
-    std::fs::write(
-        root.join(trace_rel),
-        obs::export::render_jsonl(&session.trace),
-    )
-    .expect("write trace");
+    let trace = scratch_file("obs_report_trace.jsonl");
+    std::fs::write(&trace, obs::export::render_jsonl(&session.trace)).expect("write trace");
 
-    let args: Vec<String> = ["report", trace_rel, "--format", "json"]
+    let args: Vec<String> = ["report", &trace, "--format", "json"]
         .iter()
         .map(|s| s.to_string())
         .collect();

@@ -21,6 +21,23 @@ fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
+/// A fixture's arguments with its slow-log file `target/slowlog_records.out`
+/// moved to `name` in cargo's per-package scratch directory, which exists
+/// wherever the target directory is.
+fn redirect_slow_log(args_text: &str, name: &str) -> Vec<String> {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    args_text
+        .split_whitespace()
+        .map(|a| {
+            if a == "target/slowlog_records.out" {
+                path.to_string_lossy().into_owned()
+            } else {
+                a.to_string()
+            }
+        })
+        .collect()
+}
+
 /// Blank the digits following `pat`. Idempotent (a `_` placeholder stays
 /// a `_`), so goldens regenerated through `sed` compare clean.
 fn blank_after(s: &str, pat: &str) -> String {
@@ -50,7 +67,7 @@ fn replay(case: &str) -> (u8, String, String, String) {
     let dir = root.join("testdata/serve");
     let args_text = std::fs::read_to_string(dir.join(format!("{case}.args")))
         .unwrap_or_else(|e| panic!("read {case}.args: {e}"));
-    let args: Vec<String> = args_text.split_whitespace().map(str::to_string).collect();
+    let args = redirect_slow_log(&args_text, "slowlog_records.out");
     let mut out = Vec::new();
     let exit = fedoo::serve::run_serve(
         &args,
@@ -133,17 +150,8 @@ fn slowlog_records_match_golden() {
     let args_text = std::fs::read_to_string(dir.join("slowlog.args")).expect("slowlog.args");
     // Redirect the record file so this test never races the full-scan
     // test's replay of the same fixture.
-    let out_rel = "target/slowlog_records.test.out";
-    let args: Vec<String> = args_text
-        .split_whitespace()
-        .map(|a| {
-            if a == "target/slowlog_records.out" {
-                out_rel.to_string()
-            } else {
-                a.to_string()
-            }
-        })
-        .collect();
+    let out_name = "slowlog_records.test.out";
+    let args = redirect_slow_log(&args_text, out_name);
     let mut out = Vec::new();
     let exit = fedoo::serve::run_serve(
         &args,
@@ -153,7 +161,8 @@ fn slowlog_records_match_golden() {
     )
     .expect("slowlog session replays");
     assert_eq!(exit, 0);
-    let got = std::fs::read_to_string(root.join(out_rel)).expect("slow-log file written");
+    let got = std::fs::read_to_string(Path::new(env!("CARGO_TARGET_TMPDIR")).join(out_name))
+        .expect("slow-log file written");
     let want = std::fs::read_to_string(dir.join("slowlog_records.golden")).expect("records golden");
     assert_eq!(
         normalize_micros(&got),
