@@ -191,6 +191,11 @@ impl MetaRegistry {
     /// was registered (the paper's `"default"` string).
     pub fn mapping(&self, class: &str, attr: &str, schema: &str) -> &DataMapping {
         static DEFAULT: DataMapping = DataMapping::Default;
+        // Materialisation asks once per attribute of every object: skip
+        // building the owned key when nothing is registered.
+        if self.mappings.is_empty() {
+            return &DEFAULT;
+        }
         self.mappings
             .get(&(class.to_string(), attr.to_string(), schema.to_string()))
             .unwrap_or(&DEFAULT)

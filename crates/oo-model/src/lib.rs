@@ -46,7 +46,7 @@ pub use oid::Oid;
 pub use parse::{parse_schema, parse_schema_lenient};
 pub use path::Path;
 pub use schema::{Schema, SchemaName};
-pub use store::{InstanceStore, StoreDiff};
+pub use store::{merge_walk, InstanceStore, Partition, StoreDiff};
 pub use value::Value;
 
 /// Crate-wide result alias.

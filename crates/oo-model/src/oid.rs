@@ -56,6 +56,13 @@ impl Oid {
         }
     }
 
+    /// The tuple number (federated) or per-class counter (local).
+    pub fn number(&self) -> u64 {
+        match self {
+            Oid::Federated { number, .. } | Oid::Local { number, .. } => *number,
+        }
+    }
+
     /// The attribute-value prefix of §3:
     /// `<agent>.<dbms>.<db>.<relation>.<attribute>` for a federated OID.
     pub fn attribute_prefix(&self, attribute: &str) -> String {

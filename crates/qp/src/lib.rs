@@ -16,11 +16,14 @@
 //!   cardinality estimate, and goal-directed semi-naive fallback for
 //!   rule-derived relations;
 //! * [`plan`] — the inspectable [`QueryPlan`] tree (`Display` + JSON);
-//! * [`exec`] — parallel scatter-gather execution: component extents are
-//!   scanned concurrently, batches stream into a hash-join pipeline, and
-//!   per-stage counters land in [`fedoo_core::QpStats`];
+//! * [`exec`] — scatter-gather execution: component extents are read
+//!   through the scan cache, batches stream into a hash-join pipeline,
+//!   and per-stage counters land in [`fedoo_core::QpStats`];
 //! * [`cache`] — a bounded LRU result cache keyed on plan fingerprints
 //!   and invalidated by component store version counters;
+//! * [`scan_cache`] — the lineage-shared cache of base scans'
+//!   materialised facts, kept per store partition and patched by what a
+//!   write changed;
 //! * [`engine`] — [`QueryEngine`], the façade tying it together, with
 //!   [`QueryStrategy`] selecting the planned pipeline or the reference
 //!   saturate-everything evaluator.
@@ -36,15 +39,17 @@ pub mod exec;
 pub mod parser;
 pub mod plan;
 pub mod planner;
+pub mod scan_cache;
 
 pub use analyze::render_analyzed;
 pub use cache::{CacheStats, ResultCache, SharedResultCache, DEFAULT_SHARDS};
 pub use degrade::AnswerCompleteness;
 pub use engine::{normalize_rows, value_json, AnalyzedAnswer, QueryAnswer, QueryEngine};
-pub use exec::{execute, execute_degraded, ExecOutcome, OpProfile};
+pub use exec::{execute, ExecOutcome, MaintainedRows, OpProfile};
 pub use parser::{parse_query, GlobalQuery, ParseError, SpannedLiteral};
 pub use plan::{json_string, PlanNode, QueryPlan, QueryStrategy, ScanKind, ScanNode, ScanTarget};
 pub use planner::Planner;
+pub use scan_cache::{ScanCache, ScanCacheStats};
 
 use std::fmt;
 

@@ -365,3 +365,45 @@ fn store_mutation_rebuilds_fault_session_connectors() {
     assert_eq!(partial.rows.len(), 3, "{}", partial.render_human());
     assert!(!partial.completeness.is_complete());
 }
+
+/// Degraded executions bypass the scan cache: with `S2` dark, planned
+/// answers neither read nor fill it (every component scan counts as a
+/// bypass). Once the plan is cleared, the first answers fill it and equal
+/// a cold engine's.
+#[test]
+fn degraded_executions_bypass_the_scan_cache() {
+    let fsm = library_fsm();
+    let eng = engine(&fsm);
+    let g = eng.global().global_class("S1", "book").unwrap().to_string();
+    let queries = [
+        format!("?- <X: {g} | title: T>."),
+        format!("?- <X: {g} | title: T, year: Y>, Y >= 1970."),
+        format!("?- <X: {g} | title: T>, T = \"Logic\"."),
+    ];
+    eng.apply_fault_plan(
+        FaultPlan::none().with("S2", FaultKind::Error),
+        RetryPolicy::default(),
+    );
+    for q in &queries {
+        let partial = eng.ask_text(q, QueryStrategy::Planned).unwrap();
+        assert!(!partial.completeness.is_complete(), "{q}");
+    }
+    let stats = eng.scan_cache_stats();
+    assert_eq!(
+        (stats.hits, stats.patches, stats.builds, stats.entries),
+        (0, 0, 0, 0),
+        "degraded executions touched the scan cache: {stats:?}"
+    );
+    assert!(stats.bypasses >= queries.len() as u64, "{stats:?}");
+
+    eng.clear_fault_plan();
+    let cold = engine(&fsm);
+    for q in &queries {
+        let got = eng.ask_text(q, QueryStrategy::Planned).unwrap();
+        assert!(got.completeness.is_complete());
+        let want = cold.ask_text(q, QueryStrategy::Planned).unwrap();
+        assert_eq!(got.rows, want.rows, "{q}");
+    }
+    let stats = eng.scan_cache_stats();
+    assert!(stats.builds > 0 && stats.entries > 0, "{stats:?}");
+}

@@ -196,7 +196,11 @@ impl Server {
     /// request id; otherwise the server assigns a sequential one. Even
     /// unparseable lines get an id, so every response carries one.
     pub fn handle_line(&self, line: &str) -> Handled {
-        match parse_envelope(line) {
+        let parsed = {
+            let _span = obs::span!("serve.parse", "serve");
+            parse_envelope(line)
+        };
+        match parsed {
             Ok(env) => {
                 let rid = env.id.unwrap_or_else(|| self.fresh_id());
                 self.handle_request(&rid, env.req)
@@ -316,7 +320,8 @@ impl Server {
             let _pin = obs::span!(span_names::PHASE_PIN, "serve", "tenant={tenant}");
             self.pinned_engine()
         };
-        match engine.ask_text(text, strategy) {
+        let result = engine.ask_text(text, strategy);
+        match result {
             Ok(answer) => {
                 let rows = answer.rows.len() as u64;
                 let degraded = !answer.completeness.is_complete();
@@ -355,6 +360,9 @@ impl Server {
                         footprint_save: answer.stats.footprint_saves > 0,
                     });
                 }
+                // Releasing the pinned snapshot may free the last copy of
+                // a partition: bookkeeping of this request too.
+                drop((answer, gen, engine));
                 Handled::reply(response)
             }
             Err(e) => {
