@@ -126,20 +126,58 @@ fn rows(max: usize) -> impl Strategy<Value = Vec<Row>> {
     proptest::collection::vec((0u8..6, -5i64..50), 0..max)
 }
 
-/// Ask under both strategies; the rows must be identical (both are
-/// normalised to sorted, deduplicated value tuples).
-fn assert_agreement(engine: &mut QueryEngine, query: &str) -> usize {
-    let planned = engine
-        .ask_text(query, QueryStrategy::Planned)
+/// A fresh engine over `engine`'s federation that shares nothing with
+/// it: until it asks `Saturate` (or runs a full-saturate plan), its
+/// planned derived scans run the execution's own demand- or
+/// closure-restricted evaluation.
+fn cold_engine(engine: &QueryEngine) -> QueryEngine {
+    QueryEngine::from_parts_arc(
+        engine.global().clone(),
+        engine.components_arc(),
+        engine.meta().clone(),
+    )
+}
+
+/// Ask `query` planned on a cold engine and on `warm`, whose lineage
+/// holds the reference state at this snapshot (so its derived scans read
+/// the maintained program), and under `Saturate` on `reference`. The
+/// rows must be identical (all are normalised to sorted, deduplicated
+/// value tuples). `demand` switches the cold engine's demand seeding.
+fn assert_agreement(warm: &QueryEngine, reference: &QueryEngine, query: &str, demand: bool) {
+    let cold = cold_engine(reference);
+    cold.set_demand_enabled(demand);
+    let planned = cold
+        .ask_analyze(query, QueryStrategy::Planned)
         .unwrap_or_else(|e| panic!("planned `{query}`: {e}"));
-    let saturate = engine
+    let full_saturate = planned.plan.render_human().contains("full-saturate");
+    assert!(
+        full_saturate || !cold.is_warm(),
+        "a planned ask warmed its lineage"
+    );
+    let maintained = warm
+        .ask_analyze(query, QueryStrategy::Planned)
+        .unwrap_or_else(|e| panic!("warm planned `{query}`: {e}"));
+    let saturate = reference
         .ask_text(query, QueryStrategy::Saturate)
         .unwrap_or_else(|e| panic!("saturate `{query}`: {e}"));
     assert_eq!(
-        planned.rows, saturate.rows,
-        "strategies disagree on `{query}`"
+        planned.answer.rows, saturate.rows,
+        "cold planned and saturate disagree on `{query}`"
     );
-    planned.rows.len()
+    assert_eq!(
+        maintained.answer.rows, saturate.rows,
+        "warm planned and saturate disagree on `{query}`"
+    );
+}
+
+/// An engine over `fsm` whose lineage holds the reference state.
+fn warm_engine(fsm: &Fsm) -> QueryEngine {
+    let engine = QueryEngine::connect(fsm, IntegrationStrategy::Accumulation).unwrap();
+    engine
+        .ask_text("?- <X: course_staff>.", QueryStrategy::Saturate)
+        .unwrap();
+    assert!(engine.is_warm());
+    engine
 }
 
 proptest! {
@@ -154,7 +192,8 @@ proptest! {
         k in -10i64..60,
     ) {
         let fsm = build_fsm(&persons, &humans, &courses, &staff);
-        let mut engine = QueryEngine::connect(&fsm, IntegrationStrategy::Accumulation).unwrap();
+        let reference = QueryEngine::connect(&fsm, IntegrationStrategy::Accumulation).unwrap();
+        let warm = warm_engine(&fsm);
         let queries = [
             // Base scan of the merged class, range pushdown.
             format!("?- <X: person | age: A>, A > {k}."),
@@ -178,14 +217,13 @@ proptest! {
             "?- <X: C>.".to_string(),
         ];
         for q in &queries {
-            assert_agreement(&mut engine, q);
+            assert_agreement(&warm, &reference, q, true);
         }
         // The same queries with demand seeding disabled (pure relevance-
         // closure saturation) must also agree — the planner's two derived
         // evaluation modes are answer-equivalent.
-        engine.set_demand_enabled(false);
         for q in &queries {
-            assert_agreement(&mut engine, q);
+            assert_agreement(&warm, &reference, q, false);
         }
     }
 }
@@ -194,15 +232,17 @@ proptest! {
 fn empty_extents_answer_empty_everywhere() {
     let fsm = build_fsm(&[], &[], &[], &[]);
     let engine = QueryEngine::connect(&fsm, IntegrationStrategy::Accumulation).unwrap();
+    let warm = warm_engine(&fsm);
     for q in [
         "?- <X: person | age: A>.",
         "?- <X: course_staff>.",
         "?- <X: person | ssn: S>, <Y: course | code: S>.",
     ] {
-        let planned = engine.ask_text(q, QueryStrategy::Planned).unwrap();
-        let saturate = engine.ask_text(q, QueryStrategy::Saturate).unwrap();
+        let planned = cold_engine(&engine)
+            .ask_text(q, QueryStrategy::Planned)
+            .unwrap();
         assert!(planned.rows.is_empty(), "{q}");
-        assert_eq!(planned.rows, saturate.rows, "{q}");
+        assert_agreement(&warm, &engine, q, true);
     }
 }
 
@@ -234,7 +274,7 @@ fn derived_intersection_contains_exactly_the_paired_objects() {
         .unwrap();
     assert_eq!(planned.rows, saturate.rows);
     // The complementary negation query returns the unpaired course.
-    let neg = engine
+    let neg = cold_engine(&engine)
         .ask_text(
             "?- <X: course | code: C>, not <X: course_staff>.",
             QueryStrategy::Planned,

@@ -231,3 +231,96 @@ fn paired_objects_rebuild_unpaired_ones_diff() {
     // unpaired one; gen2 → gen0 touches both, so it rebuilds again.
     assert_eq!(counts, vec![(0, 1), (1, 1), (1, 2)]);
 }
+
+/// `S1.course ∩ S2.staff` on `code`/`sssn`, with courses 1 and 2 and
+/// staff 1, and course 1 paired with staff 1: `course_staff` is derived.
+fn intersect_fsm() -> Fsm {
+    let s1 = SchemaBuilder::new("S1")
+        .class("course", |c| {
+            c.attr("code", AttrType::Str).attr("credits", AttrType::Int)
+        })
+        .build()
+        .unwrap();
+    let mut st1 = InstanceStore::new();
+    for (code, credits) in [("k1", 5i64), ("k2", 6)] {
+        st1.create(&s1, "course", |o| {
+            o.with_attr("code", code).with_attr("credits", credits)
+        })
+        .unwrap();
+    }
+    let s2 = SchemaBuilder::new("S2")
+        .class("staff", |c| {
+            c.attr("sssn", AttrType::Str).attr("salary", AttrType::Int)
+        })
+        .build()
+        .unwrap();
+    let mut st2 = InstanceStore::new();
+    st2.create(&s2, "staff", |o| {
+        o.with_attr("sssn", "k1").with_attr("salary", 900i64)
+    })
+    .unwrap();
+    let mut fsm = Fsm::new();
+    fsm.register(Agent::object_oriented("a1", s1, st1), "S1")
+        .unwrap();
+    fsm.register(Agent::object_oriented("a2", s2, st2), "S2")
+        .unwrap();
+    fsm.add_assertion(
+        ClassAssertion::simple("S1", "course", ClassOp::Intersect, "S2", "staff").attr_corr(
+            AttrCorr::new(
+                SPath::attr("S1", "course", "code"),
+                AttrOp::Equiv,
+                SPath::attr("S2", "staff", "sssn"),
+            ),
+        ),
+    );
+    fsm.meta
+        .pairing
+        .pair(Oid::local("course", 1), Oid::local("staff", 1));
+    fsm
+}
+
+/// A planned derived read on a warm lineage reads the maintained state
+/// only where that state answers for its snapshot or reaches it by store
+/// diff. Past a paired object's write it evaluates its own relevance
+/// closure instead: the shared base is rebuilt only by `Saturate`.
+#[test]
+fn planned_derived_reads_sync_only_by_diff() {
+    let _guard = obs::test_guard();
+    let fsm = intersect_fsm();
+    let gen0 = QueryEngine::connect(&fsm, IntegrationStrategy::Accumulation).unwrap();
+    let query = "?- <X: course_staff>, <X: course | credits: K>.";
+    gen0.ask_text(query, QueryStrategy::Saturate).unwrap();
+    assert!(gen0.is_warm());
+
+    let recredit = |engine: &QueryEngine, n: u64, credits: i64| {
+        let mut next = engine.components().to_vec();
+        let (schema, store) = &mut next[0];
+        store
+            .update(schema, &Oid::local("course", n), |o| {
+                o.with_attr("credits", credits)
+            })
+            .unwrap();
+        engine.successor(Arc::new(next))
+    };
+    obs::install(obs::TimeSource::monotonic());
+    let gen1 = recredit(&gen0, 2, 7);
+    let gen2 = recredit(&gen1, 1, 8);
+    let mut counts = Vec::new();
+    for (engine, strategy) in [
+        // gen0 → gen1 changes an unpaired course: a diff.
+        (&gen1, QueryStrategy::Planned),
+        // gen1 → gen2 changes the paired course: no sync.
+        (&gen2, QueryStrategy::Planned),
+        // Saturate rebuilds; a planned read then needs no sync.
+        (&gen2, QueryStrategy::Saturate),
+        (&gen2, QueryStrategy::Planned),
+        // Back to gen0 crosses the paired write again: no sync.
+        (&gen0, QueryStrategy::Planned),
+    ] {
+        let got = engine.ask_analyze(query, strategy).unwrap();
+        assert_eq!(got.answer.rows, fresh_rows(engine, &fsm.meta, query));
+        counts.push(sync_counts(&obs::metrics_snapshot().expect("installed")));
+    }
+    let _ = obs::uninstall();
+    assert_eq!(counts, vec![(1, 0), (1, 0), (1, 1), (1, 1), (1, 1)]);
+}
