@@ -26,14 +26,34 @@
 use crate::diag::{Code, Diagnostic, Report};
 use assertions::ops::{AggOp, ClassOp};
 use assertions::{validate_assertions, ClassAssertion};
-use oo_model::Schema;
-use std::collections::{BTreeMap, BTreeSet};
+use oo_model::{IdHash, Schema};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// A node of the correspondence graph: `(schema, class)`.
-type Node = (String, String);
+/// A node of the correspondence graph: `(schema, class)`, borrowed from
+/// the assertions.
+type Node<'s> = (&'s str, &'s str);
 
-fn node(schema: &str, class: &str) -> Node {
-    (schema.to_string(), class.to_string())
+/// Dense numbering of the nodes the assertions mention, in first-mention
+/// order.
+#[derive(Default)]
+struct Nodes<'s> {
+    ids: HashMap<Node<'s>, usize, IdHash>,
+    names: Vec<Node<'s>>,
+}
+
+impl<'s> Nodes<'s> {
+    fn number(&mut self, schema: &'s str, class: &'s str) -> usize {
+        let next = self.names.len();
+        let id = *self.ids.entry((schema, class)).or_insert(next);
+        if id == next {
+            self.names.push((schema, class));
+        }
+        id
+    }
+
+    fn get(&self, schema: &'s str, class: &'s str) -> usize {
+        self.ids[&(schema, class)]
+    }
 }
 
 /// Union-find over nodes, for the equivalence closure.
@@ -74,31 +94,32 @@ fn subject(a: &ClassAssertion, src: Option<&str>) -> String {
 pub fn analyze_assertions(assertions: &[ClassAssertion], src: Option<&str>) -> Report {
     let mut report = Report::new();
 
-    // --- Node numbering over every (schema, class) mentioned. ---
-    let mut ids: BTreeMap<Node, usize> = BTreeMap::new();
-    let id_of = |n: Node, ids: &mut BTreeMap<Node, usize>| -> usize {
-        let next = ids.len();
-        *ids.entry(n).or_insert(next)
-    };
-    for a in assertions {
-        for c in &a.left_classes {
-            id_of(node(&a.left_schema, c), &mut ids);
-        }
-        id_of(node(&a.right_schema, &a.right_class), &mut ids);
-    }
-    let n = ids.len();
+    // --- Node numbering over every (schema, class) mentioned; per
+    // assertion, the ids of its first left class and of its right class.
+    let mut nodes = Nodes::default();
+    let ends: Vec<(usize, usize)> = assertions
+        .iter()
+        .map(|a| {
+            let mut first = None;
+            for c in &a.left_classes {
+                let id = nodes.number(&a.left_schema, c);
+                first.get_or_insert(id);
+            }
+            let r = nodes.number(&a.right_schema, &a.right_class);
+            (first.unwrap_or(r), r)
+        })
+        .collect();
+    let n = nodes.names.len();
 
     // --- FD0201: equivalence/inclusion closure vs exclusions. ---
     let mut uf = UnionFind::new(n);
     // Directed ⊆ edges between union-find representatives (filled after
     // all unions, since reps move while merging).
     let mut incl_edges: Vec<(usize, usize)> = Vec::new();
-    for a in assertions {
+    for (a, &(l, r)) in assertions.iter().zip(&ends) {
         if a.left_classes.len() != 1 {
             continue;
         }
-        let l = ids[&node(&a.left_schema, &a.left_classes[0])];
-        let r = ids[&node(&a.right_schema, &a.right_class)];
         match a.op {
             ClassOp::Equiv => uf.union(l, r),
             ClassOp::Incl => incl_edges.push((l, r)),
@@ -131,12 +152,10 @@ pub fn analyze_assertions(assertions: &[ClassAssertion], src: Option<&str>) -> R
         }
         false
     };
-    for a in assertions {
+    for (a, &(l, r)) in assertions.iter().zip(&ends) {
         if a.op != ClassOp::Disjoint || a.left_classes.len() != 1 {
             continue;
         }
-        let l = ids[&node(&a.left_schema, &a.left_classes[0])];
-        let r = ids[&node(&a.right_schema, &a.right_class)];
         let l_in_r = reachable(l, r, &mut uf);
         let r_in_l = reachable(r, l, &mut uf);
         if l_in_r || r_in_l {
@@ -165,13 +184,12 @@ pub fn analyze_assertions(assertions: &[ClassAssertion], src: Option<&str>) -> R
     // --- FD0202: cycles among derivation assertions. ---
     let mut derive_adj: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
     let mut derive_owner: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-    for (i, a) in assertions.iter().enumerate() {
+    for (i, (a, &(_, to))) in assertions.iter().zip(&ends).enumerate() {
         if a.op != ClassOp::Derive {
             continue;
         }
-        let to = ids[&node(&a.right_schema, &a.right_class)];
         for c in &a.left_classes {
-            let from = ids[&node(&a.left_schema, c)];
+            let from = nodes.get(&a.left_schema, c);
             // Self-loops are the FD0204 self-assertion case, not a cycle.
             if from != to {
                 derive_adj.entry(from).or_default().insert(to);
@@ -179,7 +197,7 @@ pub fn analyze_assertions(assertions: &[ClassAssertion], src: Option<&str>) -> R
             }
         }
     }
-    let names: BTreeMap<usize, &Node> = ids.iter().map(|(k, v)| (*v, k)).collect();
+    let names = &nodes.names;
     let mut reported_cycles: BTreeSet<Vec<usize>> = BTreeSet::new();
     for &start in derive_adj.keys() {
         // DFS from each source; a path returning to `start` is a cycle.
@@ -200,7 +218,7 @@ pub fn analyze_assertions(assertions: &[ClassAssertion], src: Option<&str>) -> R
                         if reported_cycles.insert(canon.clone()) {
                             let mut cycle_names: Vec<String> = canon
                                 .iter()
-                                .map(|v| format!("{}•{}", names[v].0, names[v].1))
+                                .map(|&v| format!("{}•{}", names[v].0, names[v].1))
                                 .collect();
                             cycle_names.push(cycle_names[0].clone());
                             let owner = derive_owner[&(at, nx)];
@@ -229,9 +247,10 @@ pub fn analyze_assertions(assertions: &[ClassAssertion], src: Option<&str>) -> R
         }
     }
 
-    // --- FD0204: conflicting pairs and self-assertions. ---
-    let mut pair_owner: BTreeMap<(Node, Node), usize> = BTreeMap::new();
-    for (i, a) in assertions.iter().enumerate() {
+    // --- FD0204: conflicting pairs and self-assertions, keyed by the
+    // pair's node ids in name order. ---
+    let mut pair_owner: HashMap<(usize, usize), usize, IdHash> = HashMap::default();
+    for (i, (a, &(l, r))) in assertions.iter().zip(&ends).enumerate() {
         if a.left_schema == a.right_schema && a.left_classes.iter().any(|c| c == &a.right_class) {
             report.push(
                 Diagnostic::new(
@@ -249,16 +268,14 @@ pub fn analyze_assertions(assertions: &[ClassAssertion], src: Option<&str>) -> R
         if a.op == ClassOp::Derive {
             continue; // derivations may coexist with anything on a pair
         }
-        let l = node(&a.left_schema, &a.left_classes[0]);
-        let r = node(&a.right_schema, &a.right_class);
-        let key = if l <= r { (l, r) } else { (r, l) };
+        let key = if names[l] <= names[r] { (l, r) } else { (r, l) };
         match pair_owner.get(&key) {
             Some(&first) => report.push(
                 Diagnostic::new(
                     Code::ConflictingPair,
                     format!(
                         "class pair `{}•{}` / `{}•{}` is related by more than one assertion",
-                        key.0 .0, key.0 .1, key.1 .0, key.1 .1
+                        names[key.0].0, names[key.0].1, names[key.1].0, names[key.1].1
                     ),
                 )
                 .with_subject(subject(a, src))

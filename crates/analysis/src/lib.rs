@@ -51,10 +51,12 @@ pub use consistency::{
 pub use diag::{AnalysisStats, Code, Diagnostic, Report, Severity};
 pub use program::analyze_program;
 pub use rules_parser::{parse_rules, RulesParseError};
-pub use schema_lints::{analyze_agg_population, analyze_schema, analyze_schema_with_store};
+pub use schema_lints::{
+    analyze_agg_population, analyze_schema, analyze_schema_ids, analyze_schema_with_store,
+};
 
 use assertions::ClassAssertion;
-use oo_model::Schema;
+use oo_model::{ClassIds, Schema};
 
 /// The pre-integration gate: everything `fedoo-core` checks before
 /// running `schema_integration` — schema lints on both inputs, assertion
@@ -62,18 +64,22 @@ use oo_model::Schema;
 /// integration (unless the caller disables the gate), `Warn`s are carried
 /// into the run's warning list.
 pub fn pre_integration_gate(s1: &Schema, s2: &Schema, assertions: &[ClassAssertion]) -> Report {
-    let _span = obs::span!(
-        "analysis.gate",
-        "analysis",
-        "schemas={}/{} assertions={}",
-        s1.name,
-        s2.name,
-        assertions.len()
-    );
-    let mut report = analyze_schema(s1);
-    report.merge(analyze_schema(s2));
+    pre_integration_gate_ids(&ClassIds::new(s1), &ClassIds::new(s2), assertions)
+}
+
+/// [`pre_integration_gate`] over prebuilt id views of the two schemas, as
+/// the integration run builds them for its traversal.
+pub fn pre_integration_gate_ids(
+    s1: &ClassIds<'_>,
+    s2: &ClassIds<'_>,
+    assertions: &[ClassAssertion],
+) -> Report {
+    let mut report = analyze_schema_ids(s1);
+    report.merge(analyze_schema_ids(s2));
     report.merge(analyze_assertions(assertions, None));
-    report.merge(analyze_assertion_cardinalities(assertions, s1, s2, None));
+    report.merge(analyze_assertion_cardinalities(
+        assertions, s1.schema, s2.schema, None,
+    ));
     report.sort();
     obs::counter!("fedoo_analysis_diagnostics_total", report.iter().count());
     report

@@ -2,63 +2,31 @@
 //! is-a links, traversed top-down, with a **virtual start node** drawn above
 //! all parentless classes so every schema has a single entry point.
 //!
-//! The graph is built once per integration run, in one pass over the
-//! schema's is-a links. Classes get dense ids in name order, so an id list
-//! sorted by id is sorted by name; children, parents and roots are id
-//! lists, and on a forest preorder intervals answer subtree membership in
-//! O(1). Nothing in the traversal allocates a class name.
+//! The graph is built once per integration run on the schema's
+//! [`ClassIds`]: dense ids in name order, so an id list sorted by id is
+//! sorted by name, with children and parents as id rows. The graph adds
+//! the start node's row (the roots) and, on a forest, preorder intervals
+//! that answer subtree membership in O(1). Nothing in the traversal
+//! allocates a class name.
 
-use oo_model::{ClassName, Schema};
+use oo_model::{ClassIds, Schema};
 use std::borrow::Cow;
 
 /// A node of the traversal graph: a class's dense id (its rank in name
-/// order), or [`SchemaGraph::start`] for the virtual start node (§6.1: "we
-/// construct a virtual one … and for each of those nodes which have no
-/// parent nodes … draw a meaningless edge from it to the virtual start
-/// node").
-pub type ClassId = u32;
-
-/// Compressed per-node lists: row `i` is `items[offsets[i]..offsets[i + 1]]`.
-#[derive(Debug, Clone)]
-pub(crate) struct Rows<T> {
-    offsets: Vec<u32>,
-    items: Vec<T>,
-}
-
-impl<T: Copy> Rows<T> {
-    /// `rows` rows from `(row, item)` entries; each row keeps the entries'
-    /// order.
-    pub(crate) fn new(rows: usize, entries: impl Iterator<Item = (ClassId, T)>) -> Self {
-        let mut entries: Vec<(ClassId, T)> = entries.collect();
-        entries.sort_by_key(|&(r, _)| r);
-        let mut offsets = vec![0u32; rows + 1];
-        for &(r, _) in &entries {
-            offsets[r as usize + 1] += 1;
-        }
-        for i in 0..rows {
-            offsets[i + 1] += offsets[i];
-        }
-        let items = entries.into_iter().map(|(_, item)| item).collect();
-        Rows { offsets, items }
-    }
-
-    pub(crate) fn row(&self, r: ClassId) -> &[T] {
-        let r = r as usize;
-        &self.items[self.offsets[r] as usize..self.offsets[r + 1] as usize]
-    }
-}
+/// order, as in [`ClassIds`]), or [`SchemaGraph::start`] for the virtual
+/// start node (§6.1: "we construct a virtual one … and for each of those
+/// nodes which have no parent nodes … draw a meaningless edge from it to
+/// the virtual start node").
+pub use oo_model::ClassId;
 
 /// A schema viewed as a rooted traversal graph.
 #[derive(Debug, Clone)]
 pub struct SchemaGraph<'a> {
     pub schema: &'a Schema,
-    /// Class names by id (name order).
-    names: Vec<&'a ClassName>,
-    /// Direct subclasses by id, ascending; the start node's row holds the
-    /// roots.
-    children: Rows<ClassId>,
-    /// Direct superclasses by id, ascending.
-    parents: Rows<ClassId>,
+    /// Class ids and is-a rows, shared with the pre-integration gate.
+    ids: ClassIds<'a>,
+    /// The start node's children: the parentless classes, ascending.
+    roots: Vec<ClassId>,
     /// Preorder intervals, when every class has at most one parent.
     intervals: Option<Preorder>,
 }
@@ -73,43 +41,30 @@ struct Preorder {
 
 impl<'a> SchemaGraph<'a> {
     pub fn new(schema: &'a Schema) -> Self {
-        let names: Vec<&ClassName> = schema.class_names().collect();
-        let n = names.len();
-        let start = n as ClassId;
-        let id = |c: &ClassName| names.binary_search(&c).ok().map(|i| i as ClassId);
-        // `isa_links` is sorted by (sub, sup), ids follow name order, and
-        // `Rows` keeps each row's entry order: every row comes out
-        // ascending.
-        let links: Vec<(ClassId, ClassId)> = schema
-            .isa_links()
-            .filter_map(|(sub, sup)| Some((id(sub)?, id(sup)?)))
-            .collect();
-        let parents = Rows::new(n, links.iter().copied());
-        let roots: Vec<ClassId> = (0..start).filter(|&c| parents.row(c).is_empty()).collect();
-        let children = Rows::new(
-            n + 1,
-            links
-                .iter()
-                .map(|&(sub, sup)| (sup, sub))
-                .chain(roots.iter().map(|&r| (start, r))),
-        );
+        let ids = ClassIds::new(schema);
+        let n = ids.len() as ClassId;
+        let roots: Vec<ClassId> = (0..n).filter(|&c| ids.parents(c).is_empty()).collect();
         let mut graph = SchemaGraph {
             schema,
-            names,
-            children,
-            parents,
+            ids,
+            roots,
             intervals: None,
         };
-        if (0..start).all(|c| graph.parents.row(c).len() <= 1) {
+        if (0..n).all(|c| graph.ids.parents(c).len() <= 1) {
             graph.intervals = Some(graph.preorder());
         }
         graph
     }
 
+    /// The class ids and is-a rows under the graph.
+    pub fn ids(&self) -> &ClassIds<'a> {
+        &self.ids
+    }
+
     /// Preorder intervals and order of a forest, from the start node.
     fn preorder(&self) -> Preorder {
-        let mut spans = vec![(0, 0); self.names.len() + 1];
-        let mut order = Vec::with_capacity(self.names.len() + 1);
+        let mut spans = vec![(0, 0); self.len() + 1];
+        let mut order = Vec::with_capacity(self.len() + 1);
         // (node, next child index); a node's exit is set when it pops.
         let mut stack = vec![(self.start(), 0usize)];
         spans[self.start() as usize].0 = 0;
@@ -134,20 +89,17 @@ impl<'a> SchemaGraph<'a> {
 
     /// The start node (always virtual; real roots hang below it).
     pub fn start(&self) -> ClassId {
-        self.names.len() as ClassId
+        self.ids.len() as ClassId
     }
 
     /// The id of a class name.
     pub fn id(&self, name: &str) -> Option<ClassId> {
-        self.names
-            .binary_search_by(|c| c.as_str().cmp(name))
-            .ok()
-            .map(|i| i as ClassId)
+        self.ids.id(name)
     }
 
     /// The class name of a node; `None` for the start node.
     pub fn name(&self, node: ClassId) -> Option<&'a str> {
-        self.names.get(node as usize).map(|c| c.as_str())
+        self.ids.name(node)
     }
 
     /// The class name of a node, or `⟨start⟩`.
@@ -158,7 +110,10 @@ impl<'a> SchemaGraph<'a> {
     /// Child nodes: for the start node, the schema's roots; for a class,
     /// its direct subclasses. Name-sorted.
     pub fn children(&self, node: ClassId) -> &[ClassId] {
-        self.children.row(node)
+        match node == self.start() {
+            true => &self.roots,
+            false => self.ids.children(node),
+        }
     }
 
     /// Sibling nodes of a class (children of its parents, or the other
@@ -167,7 +122,7 @@ impl<'a> SchemaGraph<'a> {
         if node == self.start() {
             return Vec::new();
         }
-        let parents = self.parents.row(node);
+        let parents = self.ids.parents(node);
         let mut out: Vec<ClassId> = match parents {
             [] => self.children(self.start()).to_vec(),
             [p] => self.children(*p).to_vec(),
@@ -200,7 +155,7 @@ impl<'a> SchemaGraph<'a> {
         let mut stack = vec![node];
         let mut seen = vec![node];
         while let Some(n) = stack.pop() {
-            for &p in self.parents.row(n) {
+            for &p in self.ids.parents(n) {
                 if p == top {
                     return true;
                 }
@@ -214,23 +169,32 @@ impl<'a> SchemaGraph<'a> {
     }
 
     /// `node` and every node below it, each once: a slice of the preorder
-    /// on a forest, a fresh walk otherwise.
+    /// on a forest, [`SchemaGraph::breadth_first`] otherwise.
     pub fn subtree(&self, node: ClassId) -> Cow<'_, [ClassId]> {
         if let Some(pre) = &self.intervals {
             let (enter, exit) = pre.spans[node as usize];
             return Cow::Borrowed(&pre.order[enter as usize..exit as usize]);
         }
+        Cow::Owned(self.breadth_first(node))
+    }
+
+    /// `node` and every node below it, each once, in breadth-first order:
+    /// the order of first occurrences in [`SchemaGraph::unfolding`].
+    pub fn breadth_first(&self, node: ClassId) -> Vec<ClassId> {
+        let mut seen = vec![false; self.len() + 1];
+        seen[node as usize] = true;
         let mut out = vec![node];
         let mut i = 0;
         while i < out.len() {
             for &k in self.children(out[i]) {
-                if !out.contains(&k) {
+                if !seen[k as usize] {
+                    seen[k as usize] = true;
                     out.push(k);
                 }
             }
             i += 1;
         }
-        Cow::Owned(out)
+        out
     }
 
     /// The breadth-first unfolding below `node`: every path from `node`
@@ -249,11 +213,11 @@ impl<'a> SchemaGraph<'a> {
 
     /// Number of class nodes.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ids.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ids.is_empty()
     }
 }
 
@@ -368,6 +332,7 @@ mod tests {
             ["top", "l", "r", "both", "both"]
         );
         assert_eq!(g.subtree(top).len(), 4);
+        assert_eq!(names(&g, &g.breadth_first(top)), ["top", "l", "r", "both"]);
         assert!(g.reaches(r, both) && g.reaches(top, both) && !g.reaches(l, r));
         assert_eq!(names(&g, &g.siblings(both)), Vec::<String>::new());
         assert_eq!(names(&g, &g.siblings(l)), ["r"]);

@@ -14,8 +14,8 @@
 //! which is what the federation layer's query processor executes.
 
 use deduction::Rule;
-use oo_model::{AttrDef, Cardinality};
-use std::collections::{BTreeMap, BTreeSet};
+use oo_model::{AttrDef, Cardinality, IdHash};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 /// A reference to a class in a component schema.
@@ -184,15 +184,16 @@ impl ISClass {
 /// The integrated schema `S`.
 #[derive(Debug, Clone, Default)]
 pub struct IntegratedSchema {
-    classes: BTreeMap<String, ISClass>,
+    /// Classes in insertion order, for deterministic displays.
+    classes: Vec<ISClass>,
+    /// Class name → position in `classes`.
+    index: HashMap<String, u32, IdHash>,
     /// is-a links `(sub, super)` between integrated class names.
     isa: BTreeSet<(String, String)>,
     /// Derivation rules attached to the schema (Principles 3–5).
     pub rules: Vec<Rule>,
-    /// `IS(·)`: (schema, class) → integrated class name.
-    provenance: BTreeMap<(String, String), String>,
-    /// Insertion order of classes, for deterministic displays.
-    order: Vec<String>,
+    /// `IS(·)`: schema → class → position of the integrated class.
+    provenance: BTreeMap<String, HashMap<String, u32, IdHash>>,
 }
 
 impl IntegratedSchema {
@@ -200,14 +201,20 @@ impl IntegratedSchema {
         IntegratedSchema::default()
     }
 
+    /// Room for `classes` more classes.
+    pub(crate) fn reserve(&mut self, classes: usize) {
+        self.classes.reserve(classes);
+        self.index.reserve(classes);
+    }
+
     /// A class name not yet taken, derived from `base`.
     pub fn fresh_name(&self, base: &str) -> String {
-        if !self.classes.contains_key(base) {
+        if !self.index.contains_key(base) {
             return base.to_string();
         }
         for i in 2.. {
             let candidate = format!("{base}_{i}");
-            if !self.classes.contains_key(&candidate) {
+            if !self.index.contains_key(&candidate) {
                 return candidate;
             }
         }
@@ -217,51 +224,87 @@ impl IntegratedSchema {
     /// Insert a class, registering provenance for each source; panics on
     /// duplicate names (callers use [`IntegratedSchema::fresh_name`]).
     pub fn insert_class(&mut self, class: ISClass) {
+        self.insert_class_at(class);
+    }
+
+    /// [`IntegratedSchema::insert_class`], returning the class's position
+    /// (its insertion rank).
+    pub(crate) fn insert_class_at(&mut self, class: ISClass) -> u32 {
         assert!(
-            !self.classes.contains_key(&class.name),
+            !self.index.contains_key(&class.name),
             "duplicate integrated class `{}`",
             class.name
         );
+        let at = self.classes.len() as u32;
         for src in &class.sources {
-            self.provenance
-                .insert((src.schema.clone(), src.class.clone()), class.name.clone());
+            self.set_provenance(&src.schema, &src.class, at);
         }
-        self.order.push(class.name.clone());
-        self.classes.insert(class.name.clone(), class);
+        self.index.insert(class.name.clone(), at);
+        self.classes.push(class);
+        at
+    }
+
+    /// Register `IS(schema•class)` as the class at position `at`.
+    pub(crate) fn set_provenance(&mut self, schema: &str, class: &str, at: u32) {
+        match self.provenance.get_mut(schema) {
+            Some(classes) => {
+                classes.insert(class.to_string(), at);
+            }
+            None => {
+                let mut classes = HashMap::default();
+                classes.insert(class.to_string(), at);
+                self.provenance.insert(schema.to_string(), classes);
+            }
+        }
     }
 
     /// Register additional provenance: `class` of `schema` is represented
     /// by the existing integrated class `is_name` (used when an
-    /// equivalence chain absorbs a class into an earlier merge).
+    /// equivalence chain absorbs a class into an earlier merge). A name
+    /// that is not a class of the schema registers nothing.
     pub fn add_provenance(&mut self, schema: &str, class: &str, is_name: &str) {
-        self.provenance
-            .insert((schema.to_string(), class.to_string()), is_name.to_string());
+        if let Some(&at) = self.index.get(is_name) {
+            self.set_provenance(schema, class, at);
+        }
     }
 
     /// `IS(S•A)`: the integrated class representing `class` of `schema`.
     pub fn is(&self, schema: &str, class: &str) -> Option<&str> {
-        self.provenance
-            .get(&(schema.to_string(), class.to_string()))
-            .map(String::as_str)
+        let at = *self.provenance.get(schema)?.get(class)?;
+        Some(self.name_at(at))
+    }
+
+    /// The name of the class at a position.
+    pub(crate) fn name_at(&self, at: u32) -> &str {
+        &self.classes[at as usize].name
+    }
+
+    pub(crate) fn class_at(&self, at: u32) -> &ISClass {
+        &self.classes[at as usize]
+    }
+
+    pub(crate) fn class_at_mut(&mut self, at: u32) -> &mut ISClass {
+        &mut self.classes[at as usize]
     }
 
     pub fn class(&self, name: &str) -> Option<&ISClass> {
-        self.classes.get(name)
+        self.index.get(name).map(|&at| &self.classes[at as usize])
     }
 
     pub fn class_mut(&mut self, name: &str) -> Option<&mut ISClass> {
-        self.classes.get_mut(name)
+        let at = *self.index.get(name)?;
+        Some(&mut self.classes[at as usize])
     }
 
     /// Classes in insertion order.
     pub fn classes(&self) -> impl Iterator<Item = &ISClass> {
-        self.order.iter().filter_map(|n| self.classes.get(n))
+        self.classes.iter()
     }
 
     /// Mutable access to every class (for post-processing passes such as
     /// the multi-step origin flattening in the federation layer).
     pub fn classes_mut(&mut self) -> impl Iterator<Item = &mut ISClass> {
-        self.classes.values_mut()
+        self.classes.iter_mut()
     }
 
     pub fn len(&self) -> usize {
@@ -306,19 +349,38 @@ impl IntegratedSchema {
 
     /// Remove redundant is-a links (Principle 6 / §6.2, Fig. 12): an edge
     /// `(a, c)` is dropped when a longer path `a → … → c` exists. This is
-    /// transitive reduction of the is-a DAG. Returns the removed links.
+    /// transitive reduction of the is-a DAG, computed on ids numbering the
+    /// linked names in name order (see [`crate::reduction`]). Returns the
+    /// removed links in name order.
     pub fn reduce_isa(&mut self) -> Vec<(String, String)> {
-        let links: Vec<(String, String)> = self.isa.iter().cloned().collect();
-        let mut removed = Vec::new();
-        for edge in links {
-            self.isa.remove(&edge);
-            if !self.has_isa_path(&edge.0, &edge.1) {
-                self.isa.insert(edge);
-            } else {
-                removed.push(edge);
-            }
+        let mut names: Vec<&str> = self
+            .isa
+            .iter()
+            .flat_map(|(sub, sup)| [sub.as_str(), sup.as_str()])
+            .collect();
+        names.sort_unstable();
+        names.dedup();
+        let id = |name: &str| names.binary_search(&name).expect("linked name") as u32;
+        // The set's order is name order, and so is the ids' order.
+        let links: Vec<(u32, u32)> = self.isa.iter().map(|(a, b)| (id(a), id(b))).collect();
+        let redundant = crate::reduction::redundant(names.len(), &links, Ord::cmp);
+        let removed: Vec<(String, String)> = self
+            .isa
+            .iter()
+            .zip(redundant)
+            .filter(|&(_, r)| r)
+            .map(|(link, _)| link.clone())
+            .collect();
+        for link in &removed {
+            self.isa.remove(link);
         }
         removed
+    }
+
+    /// Replace the is-a links (the link pass of finalisation writes them
+    /// once, after reducing them on ids).
+    pub(crate) fn set_isa(&mut self, links: BTreeSet<(String, String)>) {
+        self.isa = links;
     }
 
     pub fn add_rule(&mut self, rule: Rule) {
@@ -340,7 +402,7 @@ impl IntegratedSchema {
             }
             for g in &c.aggs {
                 if let Some(range) = &g.range {
-                    if self.classes.contains_key(range) {
+                    if self.index.contains_key(range) {
                         ty.push_aggregation(oo_model::AggDef::new(
                             g.name.clone(),
                             range.as_str(),
@@ -360,16 +422,13 @@ impl IntegratedSchema {
 
     /// Map each aggregation's range through `IS(·)` (finalisation step).
     pub fn resolve_agg_ranges(&mut self) {
-        let prov = self.provenance.clone();
-        for class in self.classes.values_mut() {
-            for agg in &mut class.aggs {
+        for at in 0..self.classes.len() {
+            for g in 0..self.classes[at].aggs.len() {
+                let agg = &self.classes[at].aggs[g];
                 if agg.range.is_none() {
-                    agg.range = prov
-                        .get(&(
-                            agg.range_source.schema.clone(),
-                            agg.range_source.class.clone(),
-                        ))
-                        .cloned();
+                    let src = &agg.range_source;
+                    let range = self.is(&src.schema, &src.class).map(str::to_string);
+                    self.classes[at].aggs[g].range = range;
                 }
             }
         }
@@ -464,6 +523,63 @@ mod tests {
         is.add_isa("a", "c");
         assert!(is.reduce_isa().is_empty());
         assert_eq!(is.isa_links().count(), 2);
+    }
+
+    /// Transitive reduction as it was before ids: remove each link in
+    /// name order, keep it unless a string-keyed walk finds another path.
+    fn reduce_by_string_paths(is: &mut IntegratedSchema) -> Vec<(String, String)> {
+        let links: Vec<(String, String)> = is.isa.iter().cloned().collect();
+        let mut removed = Vec::new();
+        for edge in links {
+            is.isa.remove(&edge);
+            if !is.has_isa_path(&edge.0, &edge.1) {
+                is.isa.insert(edge);
+            } else {
+                removed.push(edge);
+            }
+        }
+        removed
+    }
+
+    /// The id reduction removes the links the sequential string removal
+    /// removes, in the same order, and leaves the same set: on random
+    /// DAGs (links point from a later to an earlier name) and on random
+    /// graphs that may have cycles.
+    #[test]
+    fn id_reduction_matches_the_string_removal() {
+        let mut state = 0x1405_7b7e_f767_814fu64;
+        let mut draw = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let (mut dag_removals, mut cyclic) = (0, 0);
+        for case in 0..4000 {
+            let n = 2 + draw(10);
+            let mut is = IntegratedSchema::new();
+            for _ in 0..draw(3 * n) {
+                let (a, b) = (draw(n), draw(n));
+                let acyclic = case % 2 == 0;
+                if a != b && (!acyclic || a > b) {
+                    is.add_isa(format!("n{a:02}"), format!("n{b:02}"));
+                }
+            }
+            let mut oracle = is.clone();
+            let want = reduce_by_string_paths(&mut oracle);
+            let got = is.reduce_isa();
+            assert_eq!(got, want, "case {case}");
+            assert_eq!(is.isa, oracle.isa, "case {case}");
+            let has_cycle = is.isa.iter().any(|(a, _)| is.has_isa_path(a, a));
+            cyclic += has_cycle as usize;
+            if !has_cycle {
+                dag_removals += got.len();
+            }
+        }
+        assert!(
+            cyclic > 200 && dag_removals > 500,
+            "{cyclic} {dag_removals}"
+        );
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //!   node, over dense class ids;
 //! * `relation_table` — one run's assertion consultations, precomputed
 //!   by class id;
+//! * `reduction` — transitive reduction of is-a links on ids (§6.2);
 //! * [`naive`] — algorithm `naive_schema_integration` (pure breadth-first
 //!   pair expansion, the > O(n²) baseline);
 //! * [`optimized`] — algorithm `schema_integration` + `path_labelling`
@@ -30,6 +31,7 @@ pub mod integrated;
 pub mod naive;
 pub mod optimized;
 pub mod principles;
+pub(crate) mod reduction;
 pub(crate) mod relation_table;
 pub mod stats;
 pub mod trace;

@@ -9,12 +9,12 @@
 
 use crate::context::Integrator;
 use crate::graph::{ClassId, SchemaGraph};
-use crate::integrated::{IntegratedSchema, SourceRef};
+use crate::integrated::IntegratedSchema;
 use crate::stats::IntegrationStats;
 use crate::trace::TraceEvent;
 use crate::Result;
 use assertions::{AssertionSet, PairRelation};
-use oo_model::Schema;
+use oo_model::{IdHash, Schema};
 use std::collections::{HashSet, VecDeque};
 
 /// The result of one integration run.
@@ -32,16 +32,25 @@ pub struct IntegrationRun {
     pub analysis: Option<analysis::AnalysisStats>,
 }
 
-/// Run the pre-integration analysis gate: `Deny` diagnostics abort with
-/// [`crate::IntegrationError::AnalysisRejected`]; anything milder is
-/// returned as warning lines alongside the gate's stats.
+/// Run the pre-integration analysis gate over the run's class ids: `Deny`
+/// diagnostics abort with [`crate::IntegrationError::AnalysisRejected`];
+/// anything milder is returned as warning lines alongside the gate's
+/// stats.
 pub(crate) fn run_gate(
-    s1: &Schema,
-    s2: &Schema,
+    g1: &SchemaGraph<'_>,
+    g2: &SchemaGraph<'_>,
     assertions: &AssertionSet,
 ) -> Result<(analysis::AnalysisStats, Vec<String>)> {
+    let _span = obs::span!(
+        "core.analysis_gate",
+        "core",
+        "schemas={}/{} assertions={}",
+        g1.schema.name,
+        g2.schema.name,
+        assertions.len()
+    );
     let t0 = std::time::Instant::now();
-    let report = analysis::pre_integration_gate(s1, s2, assertions.as_slice());
+    let report = analysis::pre_integration_gate_ids(g1.ids(), g2.ids(), assertions.as_slice());
     let stats = report.stats(t0.elapsed().as_micros().min(u64::MAX as u128) as u64);
     if report.has_deny() {
         return Err(crate::IntegrationError::AnalysisRejected(
@@ -55,49 +64,33 @@ pub(crate) fn run_gate(
     Ok((stats, warnings))
 }
 
-/// Handle one checked pair according to its assertion (shared between the
-/// naive and optimized drivers' breadth-first phase).
+/// Handle one checked pair, S1 class `x` and S2 class `y`, according to
+/// its assertion (shared between the naive and optimized drivers'
+/// breadth-first phase).
 pub(crate) fn handle_pair(
     ctx: &mut Integrator<'_>,
-    c1: &str,
-    c2: &str,
+    x: ClassId,
+    y: ClassId,
     relation: PairRelation,
 ) -> Result<()> {
     match relation {
         PairRelation::Equiv(id) => {
-            ctx.merge_equivalent(id)?;
+            ctx.merge_equivalent_at(id)?;
         }
-        PairRelation::Incl(_) => {
-            ctx.note_inclusion(
-                SourceRef::new(ctx.s1.name.as_str(), c1),
-                SourceRef::new(ctx.s2.name.as_str(), c2),
-            );
-        }
-        PairRelation::InclRev(_) => {
-            ctx.note_inclusion(
-                SourceRef::new(ctx.s2.name.as_str(), c2),
-                SourceRef::new(ctx.s1.name.as_str(), c1),
-            );
-        }
+        PairRelation::Incl(_) => ctx.note_inclusion(ctx.slot1(x), ctx.slot2(y)),
+        PairRelation::InclRev(_) => ctx.note_inclusion(ctx.slot2(y), ctx.slot1(x)),
         PairRelation::Intersect(id) => ctx.note_intersection(id),
         PairRelation::Disjoint(id) => ctx.note_disjoint(id),
         PairRelation::Derivation(_) => {
             // A pair can participate in several derivation assertions
             // (e.g. Book → Author and Author → Book); record them all.
-            for id in ctx.assertions.derivations_between(
-                ctx.s1.name.as_str(),
-                c1,
-                ctx.s2.name.as_str(),
-                c2,
-            ) {
+            let (c1, c2) = ctx.names(x, y);
+            let (n1, n2) = (ctx.s1.name.as_str(), ctx.s2.name.as_str());
+            let set = ctx.assertions;
+            for id in set.derivations_between(n1, c1, n2, c2) {
                 ctx.note_derivation(id);
             }
-            for id in ctx.assertions.derivations_between(
-                ctx.s2.name.as_str(),
-                c2,
-                ctx.s1.name.as_str(),
-                c1,
-            ) {
+            for id in set.derivations_between(n2, c2, n1, c1) {
                 ctx.note_derivation(id);
             }
         }
@@ -156,15 +149,15 @@ fn naive_inner(
     collect_trace: bool,
     gate: bool,
 ) -> Result<IntegrationRun> {
+    let g1 = SchemaGraph::new(s1);
+    let g2 = SchemaGraph::new(s2);
     let (analysis, mut gate_warnings) = match gate {
         true => {
-            let (stats, warnings) = run_gate(s1, s2, assertions)?;
+            let (stats, warnings) = run_gate(&g1, &g2, assertions)?;
             (Some(stats), warnings)
         }
         false => (None, Vec::new()),
     };
-    let g1 = SchemaGraph::new(s1);
-    let g2 = SchemaGraph::new(s2);
     let mut ctx = Integrator::new(&g1, &g2, assertions);
     ctx.collect_trace = collect_trace;
 
@@ -189,7 +182,7 @@ fn naive_inner(
                 right: c2.to_string(),
                 relation: relation_name(&rel).to_string(),
             });
-            handle_pair(&mut ctx, c1, c2, rel)?;
+            handle_pair(&mut ctx, n1, n2, rel)?;
         }
     }
     ctx.finalize()?;
@@ -207,7 +200,7 @@ fn naive_inner(
 /// once.
 pub(crate) struct PairQueue {
     queue: VecDeque<(ClassId, ClassId)>,
-    seen: HashSet<(ClassId, ClassId)>,
+    seen: HashSet<(ClassId, ClassId), IdHash>,
 }
 
 impl PairQueue {
@@ -215,7 +208,7 @@ impl PairQueue {
     pub(crate) fn new(start1: ClassId, start2: ClassId) -> Self {
         PairQueue {
             queue: VecDeque::from([(start1, start2)]),
-            seen: HashSet::from([(start1, start2)]),
+            seen: HashSet::from_iter([(start1, start2)]),
         }
     }
 

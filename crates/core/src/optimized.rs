@@ -25,12 +25,11 @@
 
 use crate::context::Integrator;
 use crate::graph::{ClassId, SchemaGraph};
-use crate::integrated::SourceRef;
 use crate::naive::{handle_pair, relation_name, IntegrationRun, PairQueue};
 use crate::trace::TraceEvent;
 use crate::Result;
 use assertions::{AssertionSet, PairRelation};
-use oo_model::Schema;
+use oo_model::{IdHash, Schema};
 use std::collections::HashSet;
 
 /// Per-side label state, by node: own labels and inherited labels (the
@@ -153,16 +152,15 @@ fn integrate(
         s2.name,
         assertions.len()
     );
+    let g1 = SchemaGraph::new(s1);
+    let g2 = SchemaGraph::new(s2);
     let (analysis, mut gate_warnings) = match options.analysis_gate {
         true => {
-            let _gate = obs::span!("core.analysis_gate", "core");
-            let (stats, warnings) = crate::naive::run_gate(s1, s2, assertions)?;
+            let (stats, warnings) = crate::naive::run_gate(&g1, &g2, assertions)?;
             (Some(stats), warnings)
         }
         false => (None, Vec::new()),
     };
-    let g1 = SchemaGraph::new(s1);
-    let g2 = SchemaGraph::new(s2);
     let mut ctx = Integrator::new(&g1, &g2, assertions);
     ctx.collect_trace = options.collect_trace;
     let mut labels1 = LabelState::new(&g1);
@@ -170,7 +168,7 @@ fn integrate(
     let mut next_label: u32 = 0;
 
     let mut queue = PairQueue::new(g1.start(), g2.start());
-    let mut cancelled: HashSet<(ClassId, ClassId)> = HashSet::new();
+    let mut cancelled: HashSet<(ClassId, ClassId), IdHash> = HashSet::default();
 
     let pair_span = obs::span!("core.pair_checks", "core");
     while let Some((n1, n2)) = queue.pop() {
@@ -194,7 +192,7 @@ fn integrate(
                          pruned by an equivalence between relatives; applying it anyway"
                     ));
                     ctx.stats.pairs_checked += 1;
-                    handle_pair(&mut ctx, c1, c2, rel)?;
+                    handle_pair(&mut ctx, n1, n2, rel)?;
                 }
                 prune_warnings(&mut ctx, &g1, &g2, n1, n2);
             }
@@ -251,7 +249,7 @@ fn integrate(
         // Merge or record the principle's work; with labels on, an
         // inclusion's link comes from `path_labelling` instead.
         if !(options.labels && matches!(rel, PairRelation::Incl(_) | PairRelation::InclRev(_))) {
-            handle_pair(&mut ctx, c1, c2, rel)?;
+            handle_pair(&mut ctx, n1, n2, rel)?;
         }
         match rel {
             PairRelation::Equiv(_) => {
@@ -350,10 +348,10 @@ fn pruned_pair_warning(ca: &str, cb: &str) -> String {
 
 /// Collect "strange assertion" warnings for a removed sibling pair and the
 /// subtree pairs its removal prunes: each declared pair of `n1`'s subtree
-/// with `n2`'s, in breadth-first order of the left subtree, then of the
-/// right (under multiple inheritance once per path, as the unfoldings
-/// repeat a class). The table rows of the smaller subtree are read, and
-/// each partner is tested against the other subtree's interval.
+/// with `n2`'s once, in breadth-first order of the left subtree, then of
+/// the right (a class reached by several paths counts at its first). The
+/// table rows of the smaller subtree are read, and each partner is tested
+/// against the other subtree's interval.
 fn warn_ignored_subtree(
     ctx: &mut Integrator<'_>,
     g1: &SchemaGraph<'_>,
@@ -380,8 +378,8 @@ fn warn_ignored_subtree(
         return;
     }
     hits.sort_unstable();
-    let right_order = g2.unfolding(n2);
-    for a in g1.unfolding(n1) {
+    let right_order = g2.breadth_first(n2);
+    for a in g1.breadth_first(n1) {
         let lo = hits.partition_point(|&(x, _)| x < a);
         let hi = hits.partition_point(|&(x, _)| x <= a);
         if lo == hi {
@@ -425,7 +423,7 @@ fn apply_hidden_assertions(
             g1.display(n1),
             g2.display(n2)
         ));
-        handle_pair(ctx, ca, cb, hidden_rel)?;
+        handle_pair(ctx, a, b, hidden_rel)?;
     }
     Ok(())
 }
@@ -464,28 +462,25 @@ impl Walk<'_, '_> {
         }
     }
 
-    /// The (S1, S2) class names of the pair `(sub, v)`.
-    fn pair<'n>(&'n self, v: &'n str) -> (&'n str, &'n str) {
+    /// The (S1, S2) class ids of the pair `(sub, v)`.
+    fn pair(&self, v: ClassId) -> (ClassId, ClassId) {
         match self.side {
-            Side::SubInS1 => (self.sub_name, v),
-            Side::SubInS2 => (v, self.sub_name),
+            Side::SubInS1 => (self.sub, v),
+            Side::SubInS2 => (v, self.sub),
         }
     }
 
     /// Record the pending `is_a(IS(sub), IS(target))` request with the
     /// correct schema sides.
-    fn link(&self, ctx: &mut Integrator<'_>, target: &str) {
-        let (sub_schema, sup_schema) = match self.side {
-            Side::SubInS1 => (ctx.s1, ctx.s2),
-            Side::SubInS2 => (ctx.s2, ctx.s1),
+    fn link(&self, ctx: &mut Integrator<'_>, target: ClassId) {
+        let (sub, sup) = match self.side {
+            Side::SubInS1 => (ctx.slot1(self.sub), ctx.slot2(target)),
+            Side::SubInS2 => (ctx.slot2(self.sub), ctx.slot1(target)),
         };
-        ctx.note_inclusion(
-            SourceRef::new(sub_schema.name.as_str(), self.sub_name),
-            SourceRef::new(sup_schema.name.as_str(), target),
-        );
+        ctx.note_inclusion(sub, sup);
         ctx.push_trace(|| TraceEvent::IsaInserted {
             sub: self.sub_name.to_string(),
-            sup: target.to_string(),
+            sup: self.graph.display(target).to_string(),
         });
     }
 }
@@ -514,7 +509,7 @@ fn visit(
     ctx: &mut Integrator<'_>,
     walk: &Walk<'_, '_>,
     v: ClassId,
-    nearest_incl: Option<&str>,
+    nearest_incl: Option<ClassId>,
     state: &mut LabelState,
 ) -> Result<()> {
     if state.visited[v as usize] == walk.label {
@@ -551,13 +546,13 @@ fn visit(
             let kids = walk.graph.children(v);
             if kids.is_empty() {
                 // Deepest ⊆ node on this path: the Fig. 8 link target.
-                walk.link(ctx, vc);
+                walk.link(ctx, v);
             }
             // A child path that labelled or linked deeper handles its own
             // target; a child that terminated immediately records the link
             // at this node via `nearest_incl`.
             for &k in kids {
-                visit(ctx, walk, k, Some(vc), state)?;
+                visit(ctx, walk, k, Some(v), state)?;
             }
         }
         PairRelation::InclRev(_) | PairRelation::Disjoint(_) | PairRelation::Derivation(_) => {
@@ -569,8 +564,8 @@ fn visit(
             // The rule-generating assertions are still recorded (the
             // breadth-first phase may never check this pair again).
             if !matches!(rel, PairRelation::InclRev(_)) {
-                let (c1, c2) = walk.pair(vc);
-                handle_pair(ctx, c1, c2, rel)?;
+                let (x, y) = walk.pair(v);
+                handle_pair(ctx, x, y, rel)?;
             }
         }
         PairRelation::Intersect(_) | PairRelation::None => {
@@ -911,8 +906,8 @@ mod indexed_traversal_tests {
     use std::collections::BTreeSet;
 
     /// The prune-warning walk as it was before the relation table: the
-    /// cross product of both pruned subtrees (breadth-first, once per path
-    /// under multiple inheritance), one string-keyed lookup per pair.
+    /// cross product of both pruned subtrees (breadth-first, each class
+    /// once), one string-keyed lookup per pair.
     fn cross_product_warnings(
         ctx: &mut Integrator<'_>,
         g1: &SchemaGraph<'_>,
@@ -927,7 +922,11 @@ mod indexed_traversal_tests {
                 let mut kids: Vec<ClassName> =
                     schema.children(&out[i]).into_iter().cloned().collect();
                 kids.sort();
-                out.extend(kids);
+                for k in kids {
+                    if !out.contains(&k) {
+                        out.push(k);
+                    }
+                }
                 i += 1;
             }
             out
@@ -1145,6 +1144,48 @@ mod indexed_traversal_tests {
             old_large > 6 * old_small,
             "the cross product grew only {old_small} → {old_large}"
         );
+    }
+
+    /// `k` stacked diamonds (`{p}t{i}` above `{p}l{i}` and `{p}r{i}`, both
+    /// above `{p}t{i+1}`): 3k + 1 classes and 2^k paths top to bottom.
+    fn diamond_ladder(name: &str, p: &str, k: usize) -> Schema {
+        let names = (0..=k)
+            .map(|i| format!("{p}t{i}"))
+            .chain((0..k).flat_map(|i| [format!("{p}l{i}"), format!("{p}r{i}")]));
+        let mut b = names.fold(SchemaBuilder::new(name), |b, c| b.empty_class(c));
+        for i in 0..k {
+            let (t, next) = (format!("{p}t{i}"), format!("{p}t{}", i + 1));
+            for side in [format!("{p}l{i}"), format!("{p}r{i}")] {
+                b = b.isa(side.clone(), t.clone()).isa(next.clone(), side);
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// On mirrored all-≡ diamond ladders every pruned pair warns about
+    /// each declared pair below it once, not once per path: 24 levels
+    /// (2^24 paths) integrate, and the warnings stay within one per
+    /// assertion and removed pair.
+    #[test]
+    fn prune_warnings_stay_bounded_on_diamond_ladders() {
+        let k = 24;
+        let (s1, s2) = (diamond_ladder("S1", "a", k), diamond_ladder("S2", "b", k));
+        let set = AssertionSet::build(s1.class_names().map(|c| {
+            let mirror = format!("b{}", &c.as_str()[1..]);
+            ClassAssertion::simple("S1", c.as_str(), ClassOp::Equiv, "S2", mirror)
+        }))
+        .unwrap();
+        let run = schema_integration(&s1, &s2, &set).unwrap();
+        assert_eq!(run.output.len(), 3 * k + 1);
+        let removed = run.stats.pairs_removed_as_siblings;
+        assert!(removed > 0 && !run.warnings.is_empty());
+        assert!(
+            run.warnings.len() as u64 <= removed * set.len() as u64,
+            "{} warnings for {removed} removed pairs",
+            run.warnings.len()
+        );
+        let distinct: BTreeSet<&String> = run.warnings.iter().collect();
+        assert!(distinct.len() <= 3 * (3 * k + 1), "{}", distinct.len());
     }
 
     /// Two mirrored chains `a0←a1←a2` and `b0←b1←b2` with `a0 ≡ b0`,

@@ -27,16 +27,11 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Find a pair of (transitive) superclasses of (`a` in s1, `b` in s2) that
 /// were merged into the same integrated class.
 fn merged_parents(ctx: &Integrator<'_>, a: &str, b: &str) -> Option<String> {
-    let a_anc = ctx.s1.ancestors(&a.into());
-    let b_anc = ctx.s2.ancestors(&b.into());
-    for pa in &a_anc {
-        let is_pa = ctx.output.is(ctx.s1.name.as_str(), pa.as_str())?;
-        for pb in &b_anc {
-            if let Some(is_pb) = ctx.output.is(ctx.s2.name.as_str(), pb.as_str()) {
-                if is_pa == is_pb {
-                    return Some(is_pa.to_string());
-                }
-            }
+    let b_anc = ctx.ancestor_slots(false, b);
+    for pa in ctx.ancestor_slots(true, a) {
+        let is_pa = ctx.is_at(pa)?;
+        if b_anc.iter().any(|&pb| ctx.is_at(pb) == Some(is_pa)) {
+            return Some(ctx.output.name_at(is_pa).to_string());
         }
     }
     None

@@ -166,8 +166,8 @@ pub(crate) fn merge_attrs(
         }
     }
     // Default strategy 2: unasserted attributes accumulate.
-    let left_class = ls
-        .class_named(a.left_class())
+    let left_class = ctx
+        .class_in(ls, a.left_class())
         .ok_or_else(|| IntegrationError::BadAssertion(format!("no class {}", a.left_class())))?;
     for attr in &left_class.ty.attributes {
         if !covered_left.contains(&attr.name) {
@@ -182,8 +182,8 @@ pub(crate) fn merge_attrs(
             );
         }
     }
-    let right_class = rs
-        .class_named(&a.right_class)
+    let right_class = ctx
+        .class_in(rs, &a.right_class)
         .ok_or_else(|| IntegrationError::BadAssertion(format!("no class {}", a.right_class)))?;
     for attr in &right_class.ty.attributes {
         if !covered_right.contains(&attr.name) {
@@ -334,16 +334,11 @@ pub(crate) fn merge_aggs(
     }
     // Default accumulation of unasserted aggregation functions.
     for (schema_name, schema, class_name, covered) in [
-        (
-            &a.left_schema,
-            ls,
-            a.left_class().to_string(),
-            &covered_left,
-        ),
-        (&a.right_schema, rs, a.right_class.clone(), &covered_right),
+        (&a.left_schema, ls, a.left_class(), &covered_left),
+        (&a.right_schema, rs, a.right_class.as_str(), &covered_right),
     ] {
-        let class = schema
-            .class_named(&class_name)
+        let class = ctx
+            .class_in(schema, class_name)
             .ok_or_else(|| IntegrationError::BadAssertion(format!("no class {class_name}")))?;
         for agg in &class.ty.aggregations {
             if !covered.contains(&agg.name) {
@@ -374,29 +369,27 @@ fn schema_by_name<'i>(ctx: &Integrator<'i>, name: &str) -> Result<&'i Schema> {
     }
 }
 
-/// Absorb one side of an equivalence assertion into an already-integrated
-/// class (equivalence chains: `A ≡ B` and `A ≡ C` make `C` join the class
-/// that already merged `A` and `B`). The absorbed side's asserted
-/// attributes extend the existing attributes' origins (their value sets
-/// union in); unasserted attributes accumulate.
-pub fn absorb(
+/// Absorb one side of an equivalence assertion into the already-integrated
+/// class at position `existing` (equivalence chains: `A ≡ B` and `A ≡ C`
+/// make `C` join the class that already merged `A` and `B`). The absorbed
+/// side's asserted attributes extend the existing attributes' origins
+/// (their value sets union in); unasserted attributes accumulate.
+pub(crate) fn absorb(
     ctx: &mut Integrator<'_>,
     a: &ClassAssertion,
-    existing: &str,
+    existing: u32,
     absorb_left: bool,
 ) -> Result<()> {
     let (schema_name, class_name) = if absorb_left {
-        (a.left_schema.clone(), a.left_class().to_string())
+        (a.left_schema.as_str(), a.left_class())
     } else {
-        (a.right_schema.clone(), a.right_class.clone())
+        (a.right_schema.as_str(), a.right_class.as_str())
     };
-    let schema = schema_by_name(ctx, &schema_name)?;
-    let class = schema
-        .class_named(&class_name)
-        .ok_or_else(|| IntegrationError::BadAssertion(format!("no class {class_name}")))?
-        .clone();
-    ctx.output
-        .add_provenance(&schema_name, &class_name, existing);
+    let schema = schema_by_name(ctx, schema_name)?;
+    let class = ctx
+        .class_in(schema, class_name)
+        .ok_or_else(|| IntegrationError::BadAssertion(format!("no class {class_name}")))?;
+    ctx.output.set_provenance(schema_name, class_name, existing);
     let mut covered: BTreeSet<String> = BTreeSet::new();
     // Asserted correspondences: extend the matching integrated attribute.
     let corrs: Vec<(SPath, SPath)> = a
@@ -410,13 +403,10 @@ pub fn absorb(
             Some(if absorb_left { (l, r) } else { (r, l) })
         })
         .collect();
-    let is_class = ctx
-        .output
-        .class_mut(existing)
-        .ok_or_else(|| IntegrationError::Internal(format!("IS class {existing} missing")))?;
+    let is_class = ctx.output.class_at_mut(existing);
     is_class
         .sources
-        .push(SourceRef::new(schema_name.clone(), class_name.clone()));
+        .push(SourceRef::new(schema_name, class_name));
     for (mine, other) in corrs {
         if let Some(m) = mine.member() {
             covered.insert(m.to_string());
@@ -440,11 +430,7 @@ pub fn absorb(
             push_attr(
                 is_class,
                 attr.clone(),
-                AttrOrigin::Copied(SourceAttr::new(
-                    schema_name.clone(),
-                    class_name.clone(),
-                    attr.name.clone(),
-                )),
+                AttrOrigin::Copied(SourceAttr::new(schema_name, class_name, attr.name.clone())),
             );
         }
     }
@@ -453,7 +439,7 @@ pub fn absorb(
             is_class,
             ISAgg {
                 name: agg.name.clone(),
-                range_source: SourceRef::new(schema_name.clone(), agg.range.as_str()),
+                range_source: SourceRef::new(schema_name, agg.range.as_str()),
                 range: None,
                 cc: agg.cc,
             },
@@ -463,18 +449,17 @@ pub fn absorb(
 }
 
 /// Apply Principle 1: build the merged class for an equivalence assertion
-/// and insert it into the integrated schema. Returns the class name.
-pub fn merge(ctx: &mut Integrator<'_>, a: &ClassAssertion) -> Result<String> {
+/// and insert it into the integrated schema. Returns the class's position.
+pub(crate) fn merge(ctx: &mut Integrator<'_>, a: &ClassAssertion) -> Result<u32> {
     let name = ctx.output.fresh_name(a.left_class());
-    let mut class = ISClass::new(name.clone());
+    let mut class = ISClass::new(name);
     class.sources = vec![
-        SourceRef::new(a.left_schema.clone(), a.left_class()),
-        SourceRef::new(a.right_schema.clone(), a.right_class.clone()),
+        SourceRef::new(a.left_schema.as_str(), a.left_class()),
+        SourceRef::new(a.right_schema.as_str(), a.right_class.as_str()),
     ];
     merge_attrs(ctx, a, &mut class)?;
     merge_aggs(ctx, a, &mut class)?;
-    ctx.output.insert_class(class);
-    Ok(name)
+    Ok(ctx.output.insert_class_at(class))
 }
 
 #[cfg(test)]

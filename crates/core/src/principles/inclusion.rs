@@ -6,7 +6,7 @@
 //! redundant links.
 //!
 //! During traversal the algorithms merely *record* requested links
-//! ([`crate::Integrator::note_inclusion`]); the selection of the deepest
+//! (`Integrator::note_inclusion`); the selection of the deepest
 //! target happens in two complementary places:
 //!
 //! * `path_labelling` (optimized algorithm) walks the is-a subgraph and

@@ -17,50 +17,56 @@
 //! happens during class merging — see `super::equivalence::merge_aggs`.
 
 use crate::context::Integrator;
-use crate::integrated::SourceRef;
+use crate::reduction;
 use crate::trace::TraceEvent;
 use crate::Result;
-use std::collections::BTreeSet;
+use oo_model::IdHash;
+use std::collections::{BTreeSet, HashSet};
 
-/// Insert all is-a links (local + inclusion-generated), then reduce.
-pub fn integrate_links(
-    ctx: &mut Integrator<'_>,
-    pending: &BTreeSet<(SourceRef, SourceRef)>,
-) -> Result<()> {
-    // Local links of both schemas, mapped through IS(·).
-    let mut requested: Vec<(String, String)> = Vec::new();
-    for schema in [ctx.s1, ctx.s2] {
-        for (sub, sup) in schema.isa_links() {
-            let is_sub = ctx.output.is(schema.name.as_str(), sub.as_str());
-            let is_sup = ctx.output.is(schema.name.as_str(), sup.as_str());
-            if let (Some(a), Some(b)) = (is_sub, is_sup) {
-                if a != b {
-                    requested.push((a.to_string(), b.to_string()));
-                }
-            }
-        }
-    }
-    // Inclusion-principle links.
-    for (sub, sup) in pending {
-        let is_sub = ctx.output.is(&sub.schema, &sub.class);
-        let is_sup = ctx.output.is(&sup.schema, &sup.class);
-        if let (Some(a), Some(b)) = (is_sub, is_sup) {
-            if a != b {
-                requested.push((a.to_string(), b.to_string()));
-            }
-        }
-    }
-    for (a, b) in requested {
-        if ctx.output.add_isa(a.clone(), b.clone()) {
+/// Insert all is-a links (local + inclusion-generated), then reduce. The
+/// links are collected and reduced as integrated class positions; their
+/// names are written into the output once, after the reduction.
+pub fn integrate_links(ctx: &mut Integrator<'_>) -> Result<()> {
+    let mut seen: HashSet<(u32, u32), IdHash> = HashSet::default();
+    let mut links: Vec<(u32, u32)> = Vec::new();
+    for link in ctx.requested_links() {
+        if seen.insert(link) {
+            links.push(link);
             ctx.stats.isa_links_inserted += 1;
-            ctx.push_trace(|| TraceEvent::IsaInserted { sub: a, sup: b });
+            if ctx.collect_trace {
+                let (sub, sup) = (ctx.output.name_at(link.0), ctx.output.name_at(link.1));
+                let (sub, sup) = (sub.to_string(), sup.to_string());
+                ctx.trace.push(TraceEvent::IsaInserted { sub, sup });
+            }
         }
     }
-    // §6.2: remove redundant links (Fig. 12).
-    for (sub, sup) in ctx.output.reduce_isa() {
-        ctx.stats.isa_links_removed += 1;
-        ctx.push_trace(|| TraceEvent::IsaRemoved { sub, sup });
+    // §6.2: remove redundant links (Fig. 12), reported in name order.
+    let output = &ctx.output;
+    let name = |&(sub, sup): &(u32, u32)| (output.name_at(sub), output.name_at(sup));
+    let by_name = |x: &(u32, u32), y: &(u32, u32)| name(x).cmp(&name(y));
+    let redundant = reduction::redundant(output.len(), &links, by_name);
+    let mut removed: Vec<(u32, u32)> = Vec::new();
+    let mut kept: Vec<(String, String)> = Vec::with_capacity(links.len());
+    for (link, redundant) in links.into_iter().zip(redundant) {
+        match redundant {
+            true => removed.push(link),
+            false => {
+                let (sub, sup) = name(&link);
+                kept.push((sub.to_string(), sup.to_string()));
+            }
+        }
     }
+    removed.sort_by(by_name);
+    for link in &removed {
+        ctx.stats.isa_links_removed += 1;
+        if ctx.collect_trace {
+            let (sub, sup) = name(link);
+            let (sub, sup) = (sub.to_string(), sup.to_string());
+            ctx.trace.push(TraceEvent::IsaRemoved { sub, sup });
+        }
+    }
+    ctx.output
+        .set_isa(kept.into_iter().collect::<BTreeSet<_>>());
     Ok(())
 }
 

@@ -7,8 +7,9 @@
 //! some assertion relates, derivation involvement included. Every other
 //! pair is [`PairRelation::None`].
 
-use crate::graph::{ClassId, Rows, SchemaGraph};
+use crate::graph::{ClassId, SchemaGraph};
 use assertions::{AssertionSet, ClassOp, PairRelation};
+use oo_model::Rows;
 
 /// `(s1 class, s2 class) → PairRelation` for the related pairs, with rows
 /// from either side.

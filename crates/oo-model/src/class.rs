@@ -31,6 +31,14 @@ impl fmt::Display for ClassName {
     }
 }
 
+/// Lets name-keyed maps be searched by `&str` without building a
+/// `ClassName`; the derived order and hash are those of the inner string.
+impl std::borrow::Borrow<str> for ClassName {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl From<&str> for ClassName {
     fn from(s: &str) -> Self {
         ClassName(s.to_string())

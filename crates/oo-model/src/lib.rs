@@ -19,6 +19,8 @@
 //!   graphs (is-a links + aggregation links) with validation;
 //! * [`Path`] — paths `C•a₁•a₂•…•b` per Definition 4.1, in both the
 //!   value form and the quoted *name* form;
+//! * [`ClassIds`] — a schema's classes by dense id in name order, with
+//!   is-a parent and child rows (shared by the linter and the integrator);
 //! * [`Object`], [`InstanceStore`] — complex O-term instances and an
 //!   inheritance-aware in-memory extent store (the stand-in for the Ontos
 //!   platform the paper deploys on).
@@ -28,6 +30,7 @@ pub mod cardinality;
 pub mod class;
 pub mod datetime;
 pub mod error;
+pub mod ids;
 pub mod object;
 pub mod oid;
 pub mod parse;
@@ -41,6 +44,7 @@ pub use cardinality::{Cardinality, Side};
 pub use class::{AggDef, AttrDef, AttrType, Class, ClassName, ClassType};
 pub use datetime::Date;
 pub use error::ModelError;
+pub use ids::{ClassId, ClassIds, IdHash, IdHasher, Rows};
 pub use object::Object;
 pub use oid::Oid;
 pub use parse::{parse_schema, parse_schema_lenient};

@@ -99,7 +99,7 @@ impl Schema {
     }
 
     pub fn class_named(&self, name: &str) -> Option<&Class> {
-        self.classes.get(&ClassName::new(name))
+        self.classes.get(name)
     }
 
     pub fn contains(&self, name: &ClassName) -> bool {
