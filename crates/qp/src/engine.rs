@@ -4,8 +4,7 @@
 //! component states + meta registry) and answers conjunctive queries
 //! under either [`QueryStrategy`]:
 //!
-//! * `Planned` — parse → validate → plan → scatter-gather execute, with
-//!   the answer cached under the plan fingerprint;
+//! * `Planned` — parse → validate → plan → scatter-gather execute;
 //! * `Saturate` — the reference path: materialise the whole federation,
 //!   saturate, query the fact base.
 //!
@@ -13,22 +12,32 @@
 //! differential suite enforces this), so `Saturate` is the oracle and
 //! `Planned` is the optimisation.
 //!
+//! Either strategy first looks the answer up in the result cache, keyed
+//! by `strategy | GlobalQuery::canonical()`, so a hit costs a parse and a
+//! lookup: it neither validates nor plans. That is sound because an
+//! engine lineage's global program is fixed (a query validates now as it
+//! did when it filled the entry) and rejected or degraded answers are
+//! never stored. Each entry keeps the short fingerprint of the plan that
+//! filled it, which a hit reports as its `plan_fp`. A miss plans from
+//! state the lineage built once (a `PlanContext`) and the engine's
+//! extent statistics, shared by `Arc`.
+//!
 //! A serving layer builds one engine per snapshot of its store, each the
 //! [`QueryEngine::successor`] of the last. Such a lineage shares one
-//! global schema and meta registry, closure cache, program summary,
-//! result cache, scan cache and reference-evaluator state. Planned base
+//! global schema and meta registry, planning context, result cache,
+//! scan cache and reference-evaluator state. Planned base
 //! scans read the scan cache, which re-materialises only the partitions
 //! a write copied; the `Saturate` path syncs its state to the asking
 //! engine's snapshot by the base-fact delta of the two snapshots' store
 //! diff. So no engine copies a materialization, and a read after a write
 //! costs what the write changed.
 
-use crate::cache::{CacheStats, SharedResultCache, DEFAULT_SHARDS};
+use crate::cache::{CacheStats, CachedAnswer, SharedResultCache, DEFAULT_SHARDS};
 use crate::degrade::{self, AnswerCompleteness};
 use crate::exec;
 use crate::parser::{parse_query, GlobalQuery};
 use crate::plan::{PlanNode, QueryPlan, QueryStrategy, ScanKind, ScanNode};
-use crate::planner::{program_summary, ClosureCache, Planner};
+use crate::planner::{ClosureCache, ExtentRows, PlanContext, Planner};
 use crate::scan_cache::{ScanCache, ScanCacheStats};
 use crate::Result;
 use analysis::ProgramSummary;
@@ -57,11 +66,12 @@ pub struct QueryAnswer {
     pub stats: QpStats,
     pub strategy: QueryStrategy,
     pub from_cache: bool,
-    /// Short (FNV-1a/64, hex) hash of the plan's cache key — the stable
-    /// per-plan-shape identity the serving layer's slow-query log and
-    /// `fedoo obs report` group by. Statistics-free (see
-    /// [`QueryPlan::fingerprint`]), so the same query shape hashes the
-    /// same across generations and runs.
+    /// Short (FNV-1a/64, hex) hash of the strategy and the plan that
+    /// computed the answer — for a cache hit, the plan that filled the
+    /// entry, stored with it. The stable per-plan-shape identity the
+    /// serving layer's slow-query log and `fedoo obs report` group by.
+    /// Statistics-free (see [`QueryPlan::fingerprint`]), so the same
+    /// query shape hashes the same across generations and runs.
     pub plan_fp: String,
     /// Whether (and how) the answer was degraded by unavailable
     /// components. Complete for every answer computed fault-free.
@@ -228,7 +238,7 @@ const CACHE_CAPACITY: usize = 64;
 
 /// Extent statistics — (component index, local class) → object count —
 /// keyed by the component version vector they were gathered against.
-type ExtentStats = (Vec<u64>, BTreeMap<(usize, String), u64>);
+type ExtentStats = (Vec<u64>, Arc<ExtentRows>);
 
 /// An installed fault plan: one guarded fault-injecting connector per
 /// component, sharing a virtual clock. Breaker and transient-fault state
@@ -338,16 +348,17 @@ struct FetchedFederation {
 /// Sync` (pinned by a compile-time assertion in the tests): wrap it in
 /// an [`Arc`] and any number of threads can `ask` concurrently. Planned
 /// execution against an unchanged federation is lock-free apart from
-/// one sharded-cache lock and one `RwLock` read of the extent
-/// statistics; the reference saturate path serializes on its state
+/// one sharded-cache lock and, on a miss, one `RwLock` read of the
+/// extent statistics; the reference saturate path serializes on its state
 /// mutex (it mutates the maintained fact base), as does an installed
 /// fault session.
 ///
 /// A serving layer builds one engine per generation of its store with
 /// [`Self::successor`]. The engines of such a lineage share everything
 /// that does not depend on the snapshot: the global schema and meta
-/// registry, the goal-closure cache, the program summary, the result
-/// cache, the scan cache and the reference-evaluator state.
+/// registry, the planning context (executable rules, goal-closure cache,
+/// program summary), the result cache, the scan cache and the
+/// reference-evaluator state.
 pub struct QueryEngine {
     /// Fixed for a lineage, so successors share it.
     global: Arc<GlobalSchema>,
@@ -371,9 +382,9 @@ pub struct QueryEngine {
     /// each ask syncs the state to its own engine's versions and then
     /// reads it, so concurrent `Saturate` asks serialize here by design.
     saturate_db: OnceLock<SharedSatState>,
-    /// Per-extent row counts for the planner's cardinality heuristic.
-    /// Gathering is O(total federation objects), so it only reruns when
-    /// a store mutates; reads share the lock.
+    /// Per-extent row counts for the planner's cardinality heuristic,
+    /// gathered on the first miss after a store mutation; planners share
+    /// them by `Arc`.
     extent_stats: RwLock<Option<ExtentStats>>,
     /// Work counters from the last full saturation, if one ran.
     sat_eval: Mutex<Option<EvalStats>>,
@@ -383,16 +394,11 @@ pub struct QueryEngine {
     /// through the fault session serializes on this mutex (breaker and
     /// transient-fault state is inherently shared).
     fault: Mutex<Option<FaultSession>>,
-    /// Per-goal relevance closures and demand feasibility, shared by
-    /// every planner of the lineage. The global program is fixed for the
-    /// lineage's lifetime, so entries never invalidate.
-    closure_cache: ClosureCache,
-    /// The abstract-interpretation summary of the global rule program,
-    /// computed once per lineage and shared by every planner it builds
-    /// (type signatures, provable emptiness, static demand feasibility).
-    /// Purely program-derived, so — like the closure cache — it never
-    /// invalidates.
-    summary: Arc<OnceLock<Arc<ProgramSummary>>>,
+    /// What every planner of the lineage reads and the global program
+    /// fixes: executable rules, strata, component index, the schema view
+    /// queries validate against, per-goal relevance closures and the
+    /// abstract-interpretation summary. Never invalidates.
+    plan_context: Arc<PlanContext>,
     /// Whether planners annotate demand-seeded derived scans (on by
     /// default; benches switch it off to isolate the closure-only path).
     demand_enabled: AtomicBool,
@@ -437,11 +443,13 @@ impl QueryEngine {
         components: Arc<Vec<(Schema, InstanceStore)>>,
         meta: MetaRegistry,
     ) -> Self {
+        let plan_context = Arc::new(PlanContext::new(&global, &components));
         Self::with_lineage(
             Arc::new(global),
             components,
             Arc::new(meta),
             Arc::new(SharedResultCache::new(CACHE_CAPACITY, DEFAULT_SHARDS)),
+            plan_context,
         )
     }
 
@@ -452,20 +460,20 @@ impl QueryEngine {
         components: Arc<Vec<(Schema, InstanceStore)>>,
         meta: Arc<MetaRegistry>,
         cache: Arc<SharedResultCache>,
+        plan_context: Arc<PlanContext>,
     ) -> Self {
         QueryEngine {
             global,
             components,
             meta,
             cache,
+            plan_context,
             scan_cache: Arc::default(),
             saturate_db: OnceLock::new(),
             extent_stats: RwLock::new(None),
             sat_eval: Mutex::new(None),
             last_stats: Mutex::new(None),
             fault: Mutex::new(None),
-            closure_cache: ClosureCache::default(),
-            summary: Arc::default(),
             demand_enabled: AtomicBool::new(true),
         }
     }
@@ -477,8 +485,9 @@ impl QueryEngine {
     /// rebuild:
     ///
     /// * the global schema and meta registry, by `Arc`;
-    /// * the goal-closure cache and program summary — the global program
-    ///   is the same for every snapshot;
+    /// * the planning context (executable rules, goal-closure cache,
+    ///   program summary) — the global program is the same for every
+    ///   snapshot;
     /// * the result cache — entries validate per footprint component
     ///   against the asking engine's version vector;
     /// * the scan cache — entries are keyed by the store partition they
@@ -493,10 +502,9 @@ impl QueryEngine {
             components,
             Arc::clone(&self.meta),
             Arc::clone(&self.cache),
+            Arc::clone(&self.plan_context),
         );
         next.scan_cache = Arc::clone(&self.scan_cache);
-        next.closure_cache = Arc::clone(&self.closure_cache);
-        next.summary = Arc::clone(&self.summary);
         next.set_demand_enabled(self.demand_enabled.load(Ordering::Relaxed));
         next.adopt_saturate_state(self);
         next
@@ -540,16 +548,13 @@ impl QueryEngine {
 
     /// The engine's goal-closure cache (shared across its lineage).
     pub fn closure_cache(&self) -> ClosureCache {
-        Arc::clone(&self.closure_cache)
+        self.plan_context.closure_cache()
     }
 
     /// The engine's program summary, computed on first call and shared
     /// across its lineage.
     pub fn summary(&self) -> Arc<ProgramSummary> {
-        Arc::clone(
-            self.summary
-                .get_or_init(|| Arc::new(program_summary(&self.global))),
-        )
+        Arc::clone(self.plan_context.summary())
     }
 
     /// Toggle demand (magic-sets) annotation of derived scans. With it
@@ -673,37 +678,30 @@ impl QueryEngine {
         Ok(parse_query(text)?)
     }
 
-    /// Validate and plan, without executing. Reuses the cached extent
-    /// statistics when they match the current component versions.
+    /// Validate and plan, without executing.
     pub fn plan_for(&self, query: &GlobalQuery) -> Result<QueryPlan> {
-        let stats = match &*self.extent_stats.read().unwrap() {
-            Some((v, stats)) if *v == self.versions() => Some(stats.clone()),
-            _ => None,
-        };
-        let mut planner = match stats {
-            Some(stats) => Planner::with_extent_rows(&self.global, &self.components, stats),
-            None => Planner::new(&self.global, &self.components),
-        };
-        planner.set_closure_cache(Arc::clone(&self.closure_cache));
-        let summary = self
-            .summary
-            .get_or_init(|| Arc::new(program_summary(&self.global)));
-        planner.set_summary(Arc::clone(summary));
+        self.plan_with(query, self.extent_rows())
+    }
+
+    fn plan_with(&self, query: &GlobalQuery, extent_rows: Arc<ExtentRows>) -> Result<QueryPlan> {
+        let mut planner =
+            Planner::with_context(&self.global, Arc::clone(&self.plan_context), extent_rows);
         planner.set_demand(self.demand_enabled.load(Ordering::Relaxed));
         planner.plan(query)
     }
 
-    /// Ensure the extent statistics match the current store versions,
-    /// returning the version vector (the cache-key epoch).
-    fn refresh_extent_stats(&self) -> Vec<u64> {
+    /// The extent statistics of this engine's snapshot, gathered again
+    /// only after a store mutation.
+    fn extent_rows(&self) -> Arc<ExtentRows> {
         let versions = self.versions();
-        let fresh = matches!(&*self.extent_stats.read().unwrap(),
-            Some((v, _)) if *v == versions);
-        if !fresh {
-            let stats = Planner::collect_extent_rows(&self.components);
-            *self.extent_stats.write().unwrap() = Some((versions.clone(), stats));
+        if let Some((v, rows)) = &*self.extent_stats.read().unwrap() {
+            if *v == versions {
+                return Arc::clone(rows);
+            }
         }
-        versions
+        let rows = Arc::new(Planner::collect_extent_rows(&self.components));
+        *self.extent_stats.write().unwrap() = Some((versions, Arc::clone(&rows)));
+        rows
     }
 
     /// Parse, validate and plan query text — the `--explain` entry point.
@@ -716,15 +714,13 @@ impl QueryEngine {
     pub fn ask_text(&self, text: &str, strategy: QueryStrategy) -> Result<QueryAnswer> {
         let _ask_span = ask_span(strategy);
         let q = parse_query(text)?;
-        self.ask_inner(&q, strategy, true)
-            .map(|(answer, ..)| answer)
+        self.answer(&q, strategy)
     }
 
     /// Answer a parsed query.
     pub fn ask(&self, query: &GlobalQuery, strategy: QueryStrategy) -> Result<QueryAnswer> {
         let _ask_span = ask_span(strategy);
-        self.ask_inner(query, strategy, true)
-            .map(|(answer, ..)| answer)
+        self.answer(query, strategy)
     }
 
     /// Parse, answer, and profile query text — the `--explain-analyze`
@@ -733,7 +729,8 @@ impl QueryEngine {
     pub fn ask_analyze(&self, text: &str, strategy: QueryStrategy) -> Result<AnalyzedAnswer> {
         let _ask_span = ask_span(strategy);
         let query = parse_query(text)?;
-        let (answer, plan, profile) = self.ask_inner(&query, strategy, false)?;
+        let key = cache_key(strategy, &query);
+        let (answer, plan, profile) = self.compute(&query, strategy, key, Instant::now(), 0)?;
         Ok(AnalyzedAnswer {
             answer,
             plan,
@@ -741,79 +738,74 @@ impl QueryEngine {
         })
     }
 
-    fn ask_inner(
+    /// The cached answer when there is one, otherwise a computed one.
+    fn answer(&self, query: &GlobalQuery, strategy: QueryStrategy) -> Result<QueryAnswer> {
+        let start = Instant::now();
+        let key = cache_key(strategy, query);
+        let hit = {
+            let _span = obs::span!("qp.cache", "qp", "op=get");
+            self.cache.get(&key, &self.versions())
+        };
+        let cache_micros = start.elapsed().as_micros() as u64;
+        match hit {
+            Some(hit) => Ok(self.cached_answer(hit, strategy, start, cache_micros)),
+            None => self
+                .compute(query, strategy, key, start, cache_micros)
+                .map(|(answer, ..)| answer),
+        }
+    }
+
+    /// A cache hit as an answer. Only complete answers are ever stored,
+    /// so a hit — even during an outage — serves the fault-free answer.
+    fn cached_answer(
+        &self,
+        hit: CachedAnswer,
+        strategy: QueryStrategy,
+        start: Instant,
+        cache_micros: u64,
+    ) -> QueryAnswer {
+        let stats = QpStats {
+            cache_hits: 1,
+            rows_emitted: hit.rows.len() as u64,
+            micros: start.elapsed().as_micros() as u64,
+            cache_micros,
+            footprint_saves: u64::from(hit.footprint_save),
+            ..QpStats::new()
+        };
+        stats.publish();
+        *self.last_stats.lock().unwrap() = Some(stats);
+        QueryAnswer {
+            vars: hit.vars,
+            rows: hit.rows,
+            stats,
+            strategy,
+            from_cache: true,
+            plan_fp: hit.plan_fp,
+            completeness: AnswerCompleteness::complete(),
+        }
+    }
+
+    /// Validate, plan and execute `query`, then store a complete answer
+    /// under `key`. `cache_micros` is what the lookup before it took.
+    fn compute(
         &self,
         query: &GlobalQuery,
         strategy: QueryStrategy,
-        use_cache: bool,
+        key: String,
+        start: Instant,
+        mut cache_micros: u64,
     ) -> Result<(QueryAnswer, QueryPlan, exec::OpProfile)> {
-        let start = Instant::now();
-        let versions = self.refresh_extent_stats();
+        let versions = self.versions();
+        let extent_rows = self.extent_rows();
         // Both strategies validate and plan identically, so they reject
-        // the same queries and share cache fingerprints per strategy.
+        // the same queries.
         let plan_start = Instant::now();
         let plan = {
             let _span = obs::span!("qp.plan", "qp");
-            self.plan_for(query)?
+            self.plan_with(query, extent_rows)?
         };
         let plan_micros = plan_start.elapsed().as_micros() as u64;
-        // A FullSaturate fingerprint carries only the fallback reason and
-        // answer vars, not the body — two different queries can share it.
-        // Mix in the canonical body so each caches under its own key.
-        let key = if matches!(plan.root, PlanNode::FullSaturate { .. }) {
-            format!(
-                "{}|{}|{}",
-                strategy.as_str(),
-                plan.fingerprint(),
-                query.canonical()
-            )
-        } else {
-            format!("{}|{}", strategy.as_str(), plan.fingerprint())
-        };
-
-        let plan_fp = short_fp(&key);
-        let mut cache_micros = 0u64;
-        let mut footprint_saves = 0u64;
-        if use_cache {
-            let cache_start = Instant::now();
-            let saves_before = self.cache.stats().footprint_saves;
-            let hit = {
-                let _span = obs::span!("qp.cache", "qp", "op=get");
-                self.cache.get(&key, &versions)
-            };
-            cache_micros = cache_start.elapsed().as_micros() as u64;
-            footprint_saves = self
-                .cache
-                .stats()
-                .footprint_saves
-                .saturating_sub(saves_before);
-            if let Some((vars, rows)) = hit {
-                // Only complete answers are ever stored, so a hit — even
-                // during an outage — serves the fault-free answer.
-                let stats = QpStats {
-                    cache_hits: 1,
-                    rows_emitted: rows.len() as u64,
-                    micros: start.elapsed().as_micros() as u64,
-                    plan_micros,
-                    cache_micros,
-                    footprint_saves,
-                    ..QpStats::new()
-                };
-                stats.publish();
-                *self.last_stats.lock().unwrap() = Some(stats);
-                let profile = exec::OpProfile::leaf("cache", rows.len() as u64, stats.micros);
-                let answer = QueryAnswer {
-                    vars,
-                    rows,
-                    stats,
-                    strategy,
-                    from_cache: true,
-                    plan_fp,
-                    completeness: AnswerCompleteness::complete(),
-                };
-                return Ok((answer, plan, profile));
-            }
-        }
+        let plan_fp = plan_fingerprint(strategy, &plan, query);
 
         // With a fault plan installed, fetch each component through its
         // guarded connector; components lost past policy become empty
@@ -916,13 +908,18 @@ impl QueryEngine {
         if completeness.is_complete() {
             let put_start = Instant::now();
             let footprint = self.plan_footprint(&plan);
-            self.cache
-                .put(key, versions, footprint, plan.vars.clone(), rows.clone());
+            self.cache.put(
+                key,
+                versions,
+                footprint,
+                plan_fp.clone(),
+                plan.vars.clone(),
+                rows.clone(),
+            );
             cache_micros += put_start.elapsed().as_micros() as u64;
         }
         stats.plan_micros = plan_micros;
         stats.cache_micros = cache_micros;
-        stats.footprint_saves = footprint_saves;
         stats.micros = start.elapsed().as_micros() as u64;
         stats.publish();
         *self.last_stats.lock().unwrap() = Some(stats);
@@ -1091,14 +1088,9 @@ impl QueryEngine {
     /// derived scans contribute the same for every class in their
     /// relevance closure (the facts the closure can derive from).
     fn plan_footprint(&self, plan: &QueryPlan) -> Option<Vec<usize>> {
-        let comp_idx: BTreeMap<&str, usize> = self
-            .components
-            .iter()
-            .enumerate()
-            .map(|(i, (schema, _))| (schema.name.as_str(), i))
-            .collect();
+        let comp_idx = self.plan_context.comp_idx();
         let mut out = BTreeSet::new();
-        if !self.node_footprint(&plan.root, &comp_idx, &mut out) {
+        if !self.node_footprint(&plan.root, comp_idx, &mut out) {
             return None;
         }
         Some(out.into_iter().collect())
@@ -1109,7 +1101,7 @@ impl QueryEngine {
     fn node_footprint(
         &self,
         node: &PlanNode,
-        comp_idx: &BTreeMap<&str, usize>,
+        comp_idx: &BTreeMap<String, usize>,
         out: &mut BTreeSet<usize>,
     ) -> bool {
         match node {
@@ -1126,7 +1118,7 @@ impl QueryEngine {
     fn scan_footprint(
         &self,
         scan: &ScanNode,
-        comp_idx: &BTreeMap<&str, usize>,
+        comp_idx: &BTreeMap<String, usize>,
         out: &mut BTreeSet<usize>,
     ) -> bool {
         match &scan.kind {
@@ -1162,7 +1154,7 @@ impl QueryEngine {
     fn class_footprint(
         &self,
         name: &str,
-        comp_idx: &BTreeMap<&str, usize>,
+        comp_idx: &BTreeMap<String, usize>,
         out: &mut BTreeSet<usize>,
     ) {
         if let Some(class) = self.global.integrated.class(name) {
@@ -1191,10 +1183,33 @@ fn ask_span(strategy: QueryStrategy) -> obs::SpanGuard {
     obs::span!("qp.ask", "qp", "strategy={}", strategy.as_str())
 }
 
-/// FNV-1a/64 of a plan's full cache key, rendered as 16 hex chars —
-/// short enough for slow-log lines and trace details, collision-safe at
-/// any plausible number of distinct plan shapes, and stable across runs
-/// (the key embeds the statistics-free plan fingerprint).
+/// The result-cache key of `query` under `strategy`: its canonical body,
+/// so the lookup needs no plan. Texts that differ only in whitespace or
+/// comments share a key; distinct bodies never do, since the canonical
+/// rendering of a parsed query is unambiguous (string constants cannot
+/// hold a quote).
+fn cache_key(strategy: QueryStrategy, query: &GlobalQuery) -> String {
+    format!("{}|{}", strategy.as_str(), query.canonical())
+}
+
+/// The short fingerprint of `plan` answering `query` under `strategy`.
+/// A `FullSaturate` plan's fingerprint carries only the fallback reason
+/// and the answer vars, so the canonical body is mixed in: each fallback
+/// query reports its own shape.
+fn plan_fingerprint(strategy: QueryStrategy, plan: &QueryPlan, query: &GlobalQuery) -> String {
+    let strategy = strategy.as_str();
+    short_fp(&match plan.root {
+        PlanNode::FullSaturate { .. } => {
+            format!("{strategy}|{}|{}", plan.fingerprint(), query.canonical())
+        }
+        _ => format!("{strategy}|{}", plan.fingerprint()),
+    })
+}
+
+/// FNV-1a/64 of a plan's identity, rendered as 16 hex chars — short
+/// enough for slow-log lines and trace details, collision-safe at any
+/// plausible number of distinct plan shapes, and stable across runs (the
+/// identity embeds the statistics-free plan fingerprint).
 fn short_fp(key: &str) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in key.bytes() {
@@ -1635,6 +1650,69 @@ mod tests {
         assert_eq!(third.rows, saturate.rows);
     }
 
+    /// A hit is a lookup: it records no `qp.plan` span and no planning
+    /// time, and reports the fingerprint of the plan that filled it.
+    #[test]
+    fn cache_hit_does_not_plan() {
+        let _guard = obs::test_guard();
+        obs::install(obs::TimeSource::monotonic());
+        // Sibling tests keep asking without the guard: mark this thread
+        // and keep only its events.
+        obs::instant!("test.thread", "test");
+        let fsm = library_fsm();
+        let engine = QueryEngine::connect(&fsm, IntegrationStrategy::Accumulation).unwrap();
+        let g = merged_class(&engine);
+        let text = format!("?- <X: {g} | year: Y>, Y >= 1987.");
+        let miss = engine.ask_text(&text, QueryStrategy::Planned).unwrap();
+        let hit = engine.ask_text(&text, QueryStrategy::Planned).unwrap();
+        let trace = obs::uninstall().expect("installed above").trace;
+        let tid = trace
+            .events
+            .iter()
+            .find(|e| e.name == "test.thread")
+            .expect("thread marker recorded")
+            .tid;
+        let begins = |name: &str| {
+            trace
+                .events
+                .iter()
+                .filter(|e| e.tid == tid && e.name == name && e.phase == obs::Phase::Begin)
+                .count()
+        };
+        assert!(!miss.from_cache && hit.from_cache);
+        assert_eq!(begins("qp.ask"), 2);
+        assert_eq!(begins("qp.cache"), 2, "both asks look the answer up");
+        assert_eq!(begins("qp.plan"), 1, "only the miss plans");
+        assert_eq!(hit.stats.plan_micros, 0);
+        assert_eq!(hit.stats.cache_hits, 1);
+        assert_eq!(hit.plan_fp, miss.plan_fp);
+        assert_eq!((hit.vars, hit.rows), (miss.vars, miss.rows));
+        let planned = engine.explain(&text).unwrap();
+        assert_eq!(
+            miss.plan_fp,
+            short_fp(&format!("planned|{}", planned.fingerprint())),
+            "the fingerprint is the plan's, as before the lookup moved"
+        );
+    }
+
+    /// The key is the canonical body: texts that differ only in
+    /// whitespace and comments share one entry.
+    #[test]
+    fn whitespace_variants_share_one_entry() {
+        let fsm = library_fsm();
+        let engine = QueryEngine::connect(&fsm, IntegrationStrategy::Accumulation).unwrap();
+        let g = merged_class(&engine);
+        let first = engine
+            .ask_text(&format!("?- <X: {g} | title: T>."), QueryStrategy::Planned)
+            .unwrap();
+        let spaced = format!("?-\n  <X:{g}|title:T>  // any title\n  .");
+        let second = engine.ask_text(&spaced, QueryStrategy::Planned).unwrap();
+        assert!(!first.from_cache && second.from_cache);
+        assert_eq!(second.rows, first.rows);
+        assert_eq!(second.plan_fp, first.plan_fp);
+        assert_eq!(engine.cache.len(), 1);
+    }
+
     /// One lineage answers `Saturate` at generation N+1, then at the
     /// still-pinned N, then at N+1 again. The engines share one
     /// reference state (no copy per generation), the state moves both
@@ -1835,7 +1913,8 @@ mod tests {
 
     /// Two fallback queries sharing variable names and fallback reason
     /// must not collide in the result cache (their plan fingerprints are
-    /// identical; only the body differs).
+    /// identical; only the body differs), and neither may planned queries
+    /// with different bodies or one body under both strategies.
     #[test]
     fn fallback_cache_distinguishes_query_bodies() {
         let fsm = library_fsm();
@@ -1860,6 +1939,34 @@ mod tests {
         let again = engine.ask_text(&q_year, QueryStrategy::Planned).unwrap();
         assert!(again.from_cache);
         assert_eq!(again.rows, years.rows);
+        assert_ne!(titles.plan_fp, years.plan_fp);
+        assert_ne!(years.plan_fp, years_sat.plan_fp);
+
+        // Pipeline plans: bodies differing in one constant, in literal
+        // order or in a variable name are different keys.
+        let bodies = [
+            format!("?- <X: {g} | title: T, year: Y>, Y >= 1987."),
+            format!("?- <X: {g} | title: T, year: Y>, Y >= 1988."),
+            format!("?- <X: {g} | title: T, year: Y>, Y >= 1987, T != \"Sets\"."),
+            format!("?- <X: {g} | year: Y, title: T>, Y >= 1987."),
+            format!("?- <Z: {g} | title: T, year: Y>, Y >= 1987."),
+        ];
+        let mut fps = BTreeSet::new();
+        for body in &bodies {
+            for strategy in [QueryStrategy::Planned, QueryStrategy::Saturate] {
+                let answer = engine.ask_text(body, strategy).unwrap();
+                assert!(!answer.from_cache, "{body} under {strategy:?} collided");
+                let fresh = QueryEngine::connect(&fsm, IntegrationStrategy::Accumulation)
+                    .unwrap()
+                    .ask_text(body, strategy)
+                    .unwrap();
+                assert_eq!(answer.rows, fresh.rows, "{body}");
+                fps.insert(answer.plan_fp);
+            }
+        }
+        // Each strategy's fingerprint differs; the bodies that plan
+        // differently differ too (the reordered attributes may not).
+        assert!(fps.len() >= 8, "{fps:?}");
     }
 
     /// The planner's extent statistics are cached per version epoch and

@@ -19,8 +19,9 @@
 //! * [`exec`] — scatter-gather execution: component extents are read
 //!   through the scan cache, batches stream into a hash-join pipeline,
 //!   and per-stage counters land in [`fedoo_core::QpStats`];
-//! * [`cache`] — a bounded LRU result cache keyed on plan fingerprints
-//!   and invalidated by component store version counters;
+//! * [`cache`] — a bounded LRU result cache keyed on the canonical query
+//!   body, looked up before planning and invalidated by component store
+//!   version counters;
 //! * [`scan_cache`] — the lineage-shared cache of base scans'
 //!   materialised facts, kept per store partition and patched by what a
 //!   write changed;

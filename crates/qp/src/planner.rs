@@ -46,7 +46,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Per-goal planning facts derived from the executable program alone:
 /// the relevance closure and whether the goal admits a demand rewrite.
 /// Both depend only on the rules — fixed for an engine's federation — so
-/// the engine shares one cache across every `Planner` it constructs and
+/// a `PlanContext` memoises them for every `Planner` built on it and
 /// never invalidates entries (a store-epoch change alters extents, not
 /// the program).
 pub type ClosureCache = Arc<Mutex<BTreeMap<String, Arc<GoalInfo>>>>;
@@ -60,30 +60,111 @@ pub struct GoalInfo {
     pub demandable: bool,
 }
 
+/// Direct extent sizes: (component index, local class) → objects.
+pub type ExtentRows = BTreeMap<(usize, String), u64>;
+
+/// Everything a planner reads that the global program and the component
+/// names fix: the executable rules with their derived relations and
+/// strata, the component index, the integrated schema view queries are
+/// validated against, the per-goal closure cache and the
+/// abstract-interpretation summary. An engine builds one per store
+/// lineage and shares it with every planner the lineage builds, so a
+/// plan costs its own work and no rebuild of the program's.
+#[derive(Debug)]
+pub(crate) struct PlanContext {
+    /// Executable derivation rules (single-head, safe).
+    exec_rules: Vec<Rule>,
+    /// Relations derived by executable rules.
+    derived: BTreeSet<String>,
+    /// Strata of the executable program (lowest first).
+    strata: Vec<BTreeSet<String>>,
+    /// Component schema name → index.
+    comp_idx: BTreeMap<String, usize>,
+    /// The integrated schema as a plain schema, or `None` when it is not
+    /// materialisable (validation then runs the safety kernel alone).
+    schema: Option<Schema>,
+    /// The origin map's global classes: the summary's extensional base.
+    base: BTreeSet<String>,
+    closure_cache: ClosureCache,
+    /// Built on first use: base-only plans never read it.
+    summary: OnceLock<Arc<ProgramSummary>>,
+}
+
+impl PlanContext {
+    pub(crate) fn new(global: &GlobalSchema, components: &[(Schema, InstanceStore)]) -> Self {
+        let exec_rules = executable_rules(global);
+        let derived = exec_rules
+            .iter()
+            .filter_map(|r| r.head().and_then(|h| h.relation()))
+            .map(str::to_string)
+            .collect();
+        let strata = stratify(&exec_rules).unwrap_or_default();
+        let comp_idx = components
+            .iter()
+            .enumerate()
+            .map(|(i, (schema, _))| (schema.name.as_str().to_string(), i))
+            .collect();
+        PlanContext {
+            exec_rules,
+            derived,
+            strata,
+            comp_idx,
+            schema: global.integrated.to_schema("global").ok(),
+            base: base_relations(global),
+            closure_cache: ClosureCache::default(),
+            summary: OnceLock::new(),
+        }
+    }
+
+    /// Component schema name → index.
+    pub(crate) fn comp_idx(&self) -> &BTreeMap<String, usize> {
+        &self.comp_idx
+    }
+
+    /// The per-goal closure/demand cache.
+    pub(crate) fn closure_cache(&self) -> ClosureCache {
+        Arc::clone(&self.closure_cache)
+    }
+
+    /// The program summary, computed on first call.
+    pub(crate) fn summary(&self) -> &Arc<ProgramSummary> {
+        self.summary.get_or_init(|| {
+            Arc::new(summarize(
+                &self.exec_rules,
+                &self.base,
+                self.schema.as_ref(),
+            ))
+        })
+    }
+}
+
 /// Plans queries against one built federation.
 pub struct Planner<'a> {
     global: &'a GlobalSchema,
-    /// Executable derivation rules (single-head, safe).
-    exec_rules: Vec<&'a Rule>,
-    /// Owned copies of `exec_rules` (stratification and the interned
-    /// closure/demand analyses work over a contiguous slice).
-    owned_rules: Vec<Rule>,
-    /// Relations derived by executable rules.
-    derived: BTreeSet<&'a str>,
-    /// Strata of the executable program (lowest first).
-    strata: Vec<BTreeSet<String>>,
-    /// Direct extent sizes: (component index, local class) → objects.
-    extent_rows: BTreeMap<(usize, String), u64>,
-    /// Component schema name → index.
-    comp_idx: BTreeMap<&'a str, usize>,
-    /// Shared per-goal closure/demand cache, if the caller keeps one.
-    closure_cache: Option<ClosureCache>,
+    context: Arc<PlanContext>,
+    extent_rows: Arc<ExtentRows>,
     /// Whether derived scans may be annotated for demand seeding.
     demand_enabled: bool,
-    /// Abstract-interpretation summary of the executable program
-    /// (emptiness, type signatures, static demand feasibility). Injected
-    /// by the engine (computed once per federation) or built lazily.
-    summary: OnceLock<Arc<ProgramSummary>>,
+}
+
+/// The single-head, safe rules of the global program: the ones planned
+/// execution evaluates.
+fn executable_rules(global: &GlobalSchema) -> Vec<Rule> {
+    global
+        .rules
+        .iter()
+        .filter(|r| r.heads.len() == 1 && check_rule(r).is_ok())
+        .cloned()
+        .collect()
+}
+
+fn base_relations(global: &GlobalSchema) -> BTreeSet<String> {
+    global.origin.values().cloned().collect()
+}
+
+fn summarize(exec: &[Rule], base: &BTreeSet<String>, schema: Option<&Schema>) -> ProgramSummary {
+    let schemas: Vec<&Schema> = schema.into_iter().collect();
+    analysis::summarize(exec, base, &schemas, &[])
 }
 
 /// The abstract-interpretation summary the planner consumes: the
@@ -92,17 +173,12 @@ pub struct Planner<'a> {
 /// as the is-a lattice. Program-derived only — safe to cache for an
 /// engine's lifetime and to embed in plan fingerprints.
 pub fn program_summary(global: &GlobalSchema) -> ProgramSummary {
-    let exec: Vec<Rule> = global
-        .rules
-        .iter()
-        .filter(|r| r.heads.len() == 1 && check_rule(r).is_ok())
-        .cloned()
-        .collect();
-    let base: BTreeSet<String> = global.origin.values().cloned().collect();
-    match global.integrated.to_schema("global") {
-        Ok(schema) => analysis::summarize(&exec, &base, &[&schema], &[]),
-        Err(_) => analysis::summarize(&exec, &base, &[], &[]),
-    }
+    let schema = global.integrated.to_schema("global").ok();
+    summarize(
+        &executable_rules(global),
+        &base_relations(global),
+        schema.as_ref(),
+    )
 }
 
 impl<'a> Planner<'a> {
@@ -115,9 +191,7 @@ impl<'a> Planner<'a> {
     /// Callers answering repeated queries should still collect once per
     /// store-version epoch and hand the map to
     /// [`Planner::with_extent_rows`].
-    pub fn collect_extent_rows(
-        components: &[(Schema, InstanceStore)],
-    ) -> BTreeMap<(usize, String), u64> {
+    pub fn collect_extent_rows(components: &[(Schema, InstanceStore)]) -> ExtentRows {
         let mut extent_rows = BTreeMap::new();
         for (i, (_, store)) in components.iter().enumerate() {
             for (class, count) in store.class_counts() {
@@ -131,54 +205,29 @@ impl<'a> Planner<'a> {
     pub fn with_extent_rows(
         global: &'a GlobalSchema,
         components: &'a [(Schema, InstanceStore)],
-        extent_rows: BTreeMap<(usize, String), u64>,
+        extent_rows: ExtentRows,
     ) -> Self {
-        let exec_rules: Vec<&Rule> = global
-            .rules
-            .iter()
-            .filter(|r| r.heads.len() == 1 && check_rule(r).is_ok())
-            .collect();
-        let derived: BTreeSet<&str> = exec_rules
-            .iter()
-            .filter_map(|r| r.head().and_then(|h| h.relation()))
-            .collect();
-        let owned: Vec<Rule> = exec_rules.iter().map(|r| (*r).clone()).collect();
-        let strata = stratify(&owned).unwrap_or_default();
-        let comp_idx: BTreeMap<&str, usize> = components
-            .iter()
-            .enumerate()
-            .map(|(i, (schema, _))| (schema.name.as_str(), i))
-            .collect();
+        let context = Arc::new(PlanContext::new(global, components));
+        Self::with_context(global, context, Arc::new(extent_rows))
+    }
+
+    /// A planner over a shared [`PlanContext`] built from `global`, and
+    /// shared extent statistics: builds nothing.
+    pub(crate) fn with_context(
+        global: &'a GlobalSchema,
+        context: Arc<PlanContext>,
+        extent_rows: Arc<ExtentRows>,
+    ) -> Self {
         Planner {
             global,
-            exec_rules,
-            owned_rules: owned,
-            derived,
-            strata,
+            context,
             extent_rows,
-            comp_idx,
-            closure_cache: None,
             demand_enabled: true,
-            summary: OnceLock::new(),
         }
     }
 
-    /// Share a per-goal closure/demand cache across planner instances
-    /// (the engine keeps one per federation).
-    pub fn set_closure_cache(&mut self, cache: ClosureCache) {
-        self.closure_cache = Some(cache);
-    }
-
-    /// Inject a pre-computed abstract-interpretation summary (the engine
-    /// computes one per federation). Without injection the planner builds
-    /// its own on first use.
-    pub fn set_summary(&mut self, summary: Arc<ProgramSummary>) {
-        let _ = self.summary.set(summary);
-    }
-
     fn summary(&self) -> &ProgramSummary {
-        self.summary
-            .get_or_init(|| Arc::new(program_summary(self.global)))
+        self.context.summary()
     }
 
     /// Enable or disable demand annotation of derived scans (on by
@@ -191,11 +240,11 @@ impl<'a> Planner<'a> {
     /// The goal's relevance closure and demand feasibility, computed via
     /// the interned walk in `deduction` and memoised in the shared cache.
     fn goal_info(&self, goal: &str) -> Arc<GoalInfo> {
-        if let Some(cache) = &self.closure_cache {
-            if let Some(hit) = cache.lock().unwrap().get(goal) {
-                return Arc::clone(hit);
-            }
+        let cache = &self.context.closure_cache;
+        if let Some(hit) = cache.lock().unwrap().get(goal) {
+            return Arc::clone(hit);
         }
+        let rules = &self.context.exec_rules;
         // Demand feasibility comes from the static summary (one
         // restriction fixpoint per program instead of one per goal); the
         // runtime fixpoint survives as a debug-build cross-check so a
@@ -203,19 +252,17 @@ impl<'a> Planner<'a> {
         let demandable = self.summary().demandable(goal).unwrap_or(false);
         debug_assert_eq!(
             demandable,
-            deduction::demand_transform(&self.owned_rules, goal).is_ok(),
+            deduction::demand_transform(rules, goal).is_ok(),
             "absint demand feasibility diverged from demand_transform for `{goal}`"
         );
         let info = Arc::new(GoalInfo {
-            relevant: relevance_closure(&self.owned_rules, &[goal.to_string()]),
+            relevant: relevance_closure(rules, &[goal.to_string()]),
             demandable,
         });
-        if let Some(cache) = &self.closure_cache {
-            cache
-                .lock()
-                .unwrap()
-                .insert(goal.to_string(), Arc::clone(&info));
-        }
+        cache
+            .lock()
+            .unwrap()
+            .insert(goal.to_string(), Arc::clone(&info));
         info
     }
 
@@ -224,15 +271,15 @@ impl<'a> Planner<'a> {
     pub fn validate(&self, query: &GlobalQuery) -> Result<()> {
         let head = Literal::Pred(Pred::new("query", query.vars().into_iter().map(Term::var)));
         let rule = Rule::new(head, query.body());
-        match self.global.integrated.to_schema("global") {
-            Ok(schema) => {
-                let mut report = analysis::analyze_program(&[rule], &[&schema]);
+        match &self.context.schema {
+            Some(schema) => {
+                let mut report = analysis::analyze_program(&[rule], &[schema]);
                 if report.has_deny() {
                     report.sort();
                     return Err(QpError::Rejected(report.render_human()));
                 }
             }
-            Err(_) => {
+            None => {
                 // No materialisable schema view — fall back to the safety
                 // kernel alone.
                 let errors = check_rule_all(&rule);
@@ -488,7 +535,7 @@ impl<'a> Planner<'a> {
     /// the derived-relation deduction fallback)?
     fn is_base_scan(&self, lit: &Literal) -> bool {
         match lit.relation() {
-            Some(rel) => !self.derived.contains(rel),
+            Some(rel) => !self.context.derived.contains(rel),
             None => false,
         }
     }
@@ -505,7 +552,7 @@ impl<'a> Planner<'a> {
             _ => Vec::new(),
         };
 
-        if self.derived.contains(relation.as_str()) {
+        if self.context.derived.contains(relation.as_str()) {
             // Provably-empty relations (absint reachability) never yield a
             // row under either strategy: skip deduction for them outright.
             // The verdict is program-derived, so it is fingerprint-safe.
@@ -528,6 +575,7 @@ impl<'a> Planner<'a> {
             }
             let info = self.goal_info(&relation);
             let rules = self
+                .context
                 .exec_rules
                 .iter()
                 .filter(|r| {
@@ -537,6 +585,7 @@ impl<'a> Planner<'a> {
                 })
                 .count();
             let stratum = self
+                .context
                 .strata
                 .iter()
                 .position(|s| s.contains(relation.as_str()))
@@ -612,7 +661,7 @@ impl<'a> Planner<'a> {
             if g != global_class {
                 continue;
             }
-            let Some(&idx) = self.comp_idx.get(schema.as_str()) else {
+            let Some(&idx) = self.context.comp_idx.get(schema.as_str()) else {
                 continue;
             };
             let rows = self

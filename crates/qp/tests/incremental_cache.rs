@@ -10,7 +10,10 @@
 //!   checking.
 //!
 //! Plus the selective-invalidation regression: a mutation to component
-//! S2 must not evict cached answers whose plan only reads S1.
+//! S2 must not evict cached answers whose plan only reads S1, and a
+//! lineage differential: successor engines share one result cache, and
+//! every hit equals a fresh engine's answer and reports the fingerprint
+//! planning would produce at that generation.
 
 use federation::agent::Agent;
 use federation::{Fsm, IntegrationStrategy};
@@ -265,6 +268,86 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A serving lineage: each generation is the successor of the last,
+    /// plus one random write, and all share one result cache. Each
+    /// template is asked twice per generation under both strategies. The
+    /// second ask must hit; both must equal a fresh engine's rows; and
+    /// the hit's fingerprint must be the one a fresh engine's plan has
+    /// at that generation, even when an earlier generation filled it.
+    #[test]
+    fn lineage_hits_report_the_plan_planning_would_produce_now(
+        persons in proptest::collection::vec((0u8..6, -5i64..50), 0..6),
+        humans in proptest::collection::vec((0u8..6, -5i64..50), 0..6),
+        courses in proptest::collection::vec((0u8..6, -5i64..50), 0..5),
+        staff in proptest::collection::vec((0u8..6, -5i64..50), 0..5),
+        trace in proptest::collection::vec(op_strategy(), 1..8),
+        k in -10i64..60,
+    ) {
+        let fsm = build_fsm(&persons, &humans, &courses, &staff);
+        let mut engine = QueryEngine::connect(&fsm, IntegrationStrategy::Accumulation).unwrap();
+        let queries = [
+            format!("?- <X: person | age: A>, A > {k}."),
+            // Reads S1 only: hits survive writes to S2.
+            format!("?- <X: course | code: C, credits: K>, K <= {k}."),
+            "?- <X: person | ssn: S>, <Y: course | code: S, credits: K>.".to_string(),
+            "?- <X: course_staff>.".to_string(),
+            "?- <X: course | code: C>, not <X: course_staff>.".to_string(),
+            "?- <X: C>, <X: course | code: S>.".to_string(),
+        ];
+        for step in 0..=trace.len() {
+            if step > 0 {
+                let mut next = engine.successor(engine.components_arc());
+                apply_op(&mut next, &trace[step - 1]);
+                engine = next;
+            }
+            let fresh = QueryEngine::from_parts_arc(
+                engine.global().clone(),
+                engine.components_arc(),
+                engine.meta().clone(),
+            );
+            for q in &queries {
+                for strategy in [QueryStrategy::Planned, QueryStrategy::Saturate] {
+                    let first = engine.ask_text(q, strategy).unwrap();
+                    let second = engine.ask_text(q, strategy).unwrap();
+                    let want = fresh.ask_text(q, strategy).unwrap();
+                    prop_assert!(!want.from_cache);
+                    prop_assert!(second.from_cache, "{} {:?} missed twice", q, strategy);
+                    prop_assert_eq!(&first.rows, &want.rows, "{} {:?}", q, strategy);
+                    prop_assert_eq!(&second.rows, &want.rows, "{} {:?}", q, strategy);
+                    prop_assert_eq!(&first.plan_fp, &want.plan_fp, "{} {:?}", q, strategy);
+                    prop_assert_eq!(&second.plan_fp, &want.plan_fp, "{} {:?}", q, strategy);
+                }
+            }
+        }
+    }
+}
+
+/// The case the lineage property relies on, pinned: a write to S2 leaves
+/// the S1-only template's entry, filled a generation earlier, hitting
+/// with the filling plan's fingerprint.
+#[test]
+fn lineage_carries_hits_across_generations() {
+    let fsm = build_fsm(&[(1, 3)], &[(1, 80)], &[(2, 4)], &[(2, 1)]);
+    let root = QueryEngine::connect(&fsm, IntegrationStrategy::Accumulation).unwrap();
+    let q = "?- <X: course | code: C, credits: K>, K <= 10.";
+    let filled = root.ask_text(q, QueryStrategy::Planned).unwrap();
+    let mut next = root.successor(root.components_arc());
+    let write = Op::Insert {
+        comp: 1,
+        second: true,
+        key: 3,
+        val: 5,
+    };
+    assert!(apply_op(&mut next, &write));
+    let hit = next.ask_text(q, QueryStrategy::Planned).unwrap();
+    assert!(hit.from_cache && hit.stats.footprint_saves == 1);
+    assert_eq!(hit.plan_fp, filled.plan_fp);
+    assert_eq!(hit.stats.plan_micros, 0);
 }
 
 /// Builds the regression federation: `book ≡ publication` spans both

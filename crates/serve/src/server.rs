@@ -7,9 +7,13 @@
 //! [`GenerationStore::mutate`]. The last few generations' engines stay
 //! cached so readers that pinned just before an install still hit a
 //! warm engine. Every engine is a [`QueryEngine::successor`] of the
-//! first, so the whole lineage shares one closure cache, program
-//! summary, result cache and reference-evaluator state: an install
-//! re-derives no program analysis and copies no materialization.
+//! first, so the whole lineage shares one planning context (closure
+//! cache, program summary), result cache and reference-evaluator state:
+//! an install re-derives no program analysis and copies no
+//! materialization. A query the result cache holds is answered by a
+//! lookup, without planning; its `plan_us` is 0 and the slow log and
+//! `serve.request.done` carry the fingerprint of the plan that filled
+//! the entry.
 //!
 //! All request handling goes through [`Server::handle`] (or
 //! [`Server::handle_line`] for raw JSONL), which is `&self` — the

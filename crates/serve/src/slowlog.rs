@@ -44,14 +44,15 @@ pub struct SlowRecord {
     pub request_id: String,
     pub tenant: String,
     pub generation: u64,
-    /// Plan fingerprint (FNV-1a/64 of the plan's cache key).
+    /// Plan fingerprint (FNV-1a/64 of the strategy and the plan; a
+    /// cache hit reports the plan that filled its entry).
     pub fp: String,
     pub rows: u64,
     pub phases: QueryPhases,
     pub degraded: bool,
     pub from_cache: bool,
-    /// Whether the result cache refused to keep this answer (footprint
-    /// cap) — a recurring slow query that can never become a hit.
+    /// Whether the answer was a cache hit although some component had
+    /// changed since the entry was filled, all outside its footprint.
     pub footprint_save: bool,
 }
 
