@@ -71,9 +71,10 @@ impl DemandProgram {
     }
 
     /// Seed the goal's demand with `seeds` and run the transformed program
-    /// to fixpoint. The returned stats carry the number of demand facts
-    /// that existed after the run (seeded + propagated) in
-    /// `demanded_facts`, published as `fedoo_deduction_demanded_facts`.
+    /// to fixpoint. `db` may already hold facts and demand of earlier runs;
+    /// the returned stats carry the number of demand facts this run added
+    /// (seeded + propagated) in `demanded_facts`, published as
+    /// `fedoo_deduction_demanded_facts`.
     pub fn evaluate(
         &self,
         db: &mut FactDb,
@@ -88,15 +89,18 @@ impl DemandProgram {
             seeds.len(),
             self.program.rules.len()
         );
+        let demand_facts = |db: &FactDb| -> u64 {
+            self.demand_preds
+                .iter()
+                .map(|p| db.tuples_of(p).count() as u64)
+                .sum()
+        };
+        let before = demand_facts(db);
         for key in seeds {
             self.seed(db, key);
         }
         let mut stats = self.program.evaluate_with(db, strategy)?;
-        let demanded: u64 = self
-            .demand_preds
-            .iter()
-            .map(|p| db.tuples_of(p).count() as u64)
-            .sum();
+        let demanded = demand_facts(db) - before;
         stats.demanded_facts = demanded;
         if obs::enabled() && demanded > 0 {
             obs::counter_add("fedoo_deduction_demanded_facts_total", demanded);
